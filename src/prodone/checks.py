@@ -6,6 +6,12 @@ witness; a True verdict carries either a reason valid for the whole class of
 groups or an exhausted complete search; anything else is reported as unknown
 up to the bound actually searched.
 
+The two-atom splitting scan is orbit-reduced: whether an atom has a split
+needing three atoms is invariant under Aut(G), so only the first multiset of
+each orbit in scan order (the lexicographically least) is tested.  The first
+counterexample of the full scan is such a representative, so the witness is
+the one the unreduced scan finds.
+
 Membership of a sequence S in the quotient group of the product-one monoid
 is decided by a coset test: S belongs to it exactly when every product of S
 lands in the commutator subgroup (the products of any sequence fill part of
@@ -19,7 +25,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import BudgetExceededError
-from .factor import FactorizationContext, _is_atom_exps, divides_in_B, is_atom
+from .factor import (
+    FactorizationContext,
+    _is_atom_exps,
+    divides_in_B,
+    is_atom,
+    orbit_getters,
+)
 from .groups import Group, analyze
 from .sequences import (
     PiEngine,
@@ -55,18 +67,8 @@ class Verdict:
         return out
 
 
-class _LocalAtoms:
-    """Atom tests memoized on packed exponent vectors."""
-
-    def __init__(self, engine: PiEngine):
-        self.engine = engine
-        self.cache: dict[bytes, bool] = {}
-
-    def is_atom(self, key: bytes) -> bool:
-        return _is_atom_exps(key, self.engine, self.cache)
-
-
-def _splits_into_two_atoms(key: bytes, atoms: _LocalAtoms) -> bool:
+def _splits_into_two_atoms(key: bytes, engine: PiEngine,
+                           atom_cache: dict[bytes, bool]) -> bool:
     n = len(key)
     total = sum(key)
     for sub in iter_submultisets(key):
@@ -75,16 +77,18 @@ def _splits_into_two_atoms(key: bytes, atoms: _LocalAtoms) -> bool:
             continue
         if 2 * s == total and sub > bytes(key[i] - sub[i] for i in range(n)):
             continue
-        if atoms.is_atom(sub):
+        if _is_atom_exps(sub, engine, atom_cache):
             comp = bytes(key[i] - sub[i] for i in range(n))
-            if atoms.is_atom(comp):
+            if _is_atom_exps(comp, engine, atom_cache):
                 return True
     return False
 
 
-def _two_atom_bound_ok(key: bytes, atoms: _LocalAtoms) -> bool:
+def _two_atom_bound_ok(key: bytes, engine: PiEngine,
+                       atom_cache: dict[bytes, bool]) -> bool:
     """Whether the sequence is an atom or a product of exactly two atoms."""
-    return atoms.is_atom(key) or _splits_into_two_atoms(key, atoms)
+    return (_is_atom_exps(key, engine, atom_cache)
+            or _splits_into_two_atoms(key, engine, atom_cache))
 
 
 def property_P(group: Group, engine: Optional[PiEngine] = None,
@@ -92,11 +96,13 @@ def property_P(group: Group, engine: Optional[PiEngine] = None,
                budget: int = PROPERTY_P_BUDGET) -> Verdict:
     """Split one term of an atom into two factors; the result must factor
     into at most two atoms.  Scans atoms by increasing length and stops at
-    the first counterexample."""
+    the first counterexample.  Candidates that are not the first of their
+    Aut(G)-orbit are skipped but still count against the budget."""
     engine = engine or PiEngine(group)
-    atoms = _LocalAtoms(engine)
+    atom_cache: dict[bytes, bool] = {}
     n = group.order
     cap = max_len if max_len is not None else n
+    getters = orbit_getters(group, tuple(range(n)))
     candidates = 0
     ok_cache: dict[bytes, bool] = {}
     for length in range(1, cap + 1):
@@ -105,8 +111,11 @@ def property_P(group: Group, engine: Optional[PiEngine] = None,
             if candidates > budget:
                 raise BudgetExceededError(
                     f"two-atom splitting scan exceeded {budget} candidates")
+            if any(get(exps) < exps for get in getters):
+                continue  # an earlier multiset of the same orbit stands for it
             key = bytes(exps)
-            if not engine.pi_mask(key) & 1 or not atoms.is_atom(key):
+            if (not engine.pi_mask(key) & 1
+                    or not _is_atom_exps(key, engine, atom_cache)):
                 continue
             atom_seq = Sequence(group, exps)
             for g in atom_seq.support():
@@ -119,7 +128,7 @@ def property_P(group: Group, engine: Optional[PiEngine] = None,
                     nkey = bytes(nxt)
                     ok = ok_cache.get(nkey)
                     if ok is None:
-                        ok = _two_atom_bound_ok(nkey, atoms)
+                        ok = _two_atom_bound_ok(nkey, engine, atom_cache)
                         ok_cache[nkey] = ok
                     if not ok:
                         split_seq = Sequence(group, tuple(nxt))

@@ -4,11 +4,17 @@ An atom is a non-empty product-one sequence that does not split into two
 non-empty product-one sub-multisets.  Enumeration is by multiset length; for
 abelian groups atoms are produced directly from product-one-free sequences
 (append the inverse of the sum), which is exact and much faster.
+
+The generic enumeration is orbit-reduced: automorphisms of G that fix the
+support set map atoms to atoms, so only the first multiset of each orbit in
+scan order (the lexicographically least) is tested, and every atom found is
+expanded to its whole orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, SequenceError, ValidationFailure
@@ -102,6 +108,17 @@ def _is_atom_uncached(key: bytes, engine: PiEngine) -> bool:
     return True
 
 
+def orbit_getters(group: Group, sup: tuple[int, ...]) -> list[itemgetter]:
+    """One getter per non-trivial permutation of the support slots that an
+    automorphism fixing the support set induces; applied to an exponent
+    tuple over the support, it returns the tuple of an image multiset."""
+    slot = {g: i for i, g in enumerate(sup)}
+    perms = {tuple(slot[aut[g]] for g in sup)
+             for aut in group.automorphisms() if all(aut[g] in slot for g in sup)}
+    perms.discard(tuple(range(len(sup))))
+    return [itemgetter(*p) for p in sorted(perms)]
+
+
 def _support_indices(group: Group, support) -> tuple[int, ...]:
     if support is None:
         return tuple(range(group.order))
@@ -186,8 +203,16 @@ def _enumerate_atoms_abelian_support(group: Group, sup: tuple[int, ...],
 def _enumerate_atoms_generic(group: Group, sup: tuple[int, ...],
                              engine: PiEngine, budget: int) -> list[Sequence]:
     n = group.order
+
+    def unpack(packed: tuple[int, ...]) -> tuple[int, ...]:
+        exps = [0] * n
+        for slot, e in enumerate(packed):
+            exps[sup[slot]] = e
+        return tuple(exps)
+
     atoms: list[Sequence] = []
     atom_cache: dict[bytes, bool] = {}
+    getters = orbit_getters(group, sup)
     candidates = 0
     max_len = len(closure_elements(group, sup))
     for length in range(1, max_len + 1):
@@ -196,14 +221,14 @@ def _enumerate_atoms_generic(group: Group, sup: tuple[int, ...],
             if candidates > budget:
                 raise BudgetExceededError(
                     f"atom enumeration exceeded {budget} candidates")
-            exps = [0] * n
-            for slot, e in enumerate(packed):
-                exps[sup[slot]] = e
-            key = bytes(exps)
+            if any(get(packed) < packed for get in getters):
+                continue  # an earlier multiset of the same orbit stands for it
+            key = bytes(unpack(packed))
             if not engine.pi_mask(key) & 1:
                 continue
             if _is_atom_exps(key, engine, atom_cache):
-                atoms.append(Sequence(group, tuple(key)))
+                for image in {packed, *(get(packed) for get in getters)}:
+                    atoms.append(Sequence(group, unpack(image)))
     return atoms
 
 
@@ -288,9 +313,6 @@ class FactorizationContext:
         ls = self._lengths_of(bytes(seq.exps))
         return LengthSet(seq, tuple(sorted(ls)))
 
-    def min_length(self, seq: Sequence) -> int:
-        return self.lengths(seq).min()
-
     def _lengths_of(self, key: bytes) -> frozenset[int]:
         got = self._lengths.get(key)
         if got is not None:
@@ -337,26 +359,27 @@ class FactorizationContext:
             raise ValueError("counting factorizations requires an atom list")
         if seq.length and not self.engine.is_product_one(seq):
             raise SequenceError("sequence is not product-one")
-        memo: dict[tuple[bytes, int], int] = {}
+        return self._count(bytes(seq.exps), 0, {})
 
-        def count(key: bytes, min_idx: int) -> int:
-            if not sum(key):
-                return 1
-            got = memo.get((key, min_idx))
-            if got is not None:
-                return got
-            n = len(key)
-            total = 0
-            for idx in range(min_idx, len(self.atom_list)):
-                aexps, _ = self.atom_list[idx]
-                if all(aexps[i] <= key[i] for i in range(n)):
-                    comp = bytes(key[i] - aexps[i] for i in range(n))
-                    if not sum(comp) or self.engine.pi_mask(comp) & 1:
-                        total += count(comp, idx)
-            memo[(key, min_idx)] = total
-            return total
-
-        return count(bytes(seq.exps), 0)
+    def _count(self, key: bytes, min_idx: int,
+               memo: dict[tuple[bytes, int], int]) -> int:
+        # the memo is passed, not closed over, so no reference cycle keeps
+        # it alive after the count returns
+        if not sum(key):
+            return 1
+        got = memo.get((key, min_idx))
+        if got is not None:
+            return got
+        n = len(key)
+        total = 0
+        for idx in range(min_idx, len(self.atom_list)):
+            aexps, _ = self.atom_list[idx]
+            if all(aexps[i] <= key[i] for i in range(n)):
+                comp = bytes(key[i] - aexps[i] for i in range(n))
+                if not sum(comp) or self.engine.pi_mask(comp) & 1:
+                    total += self._count(comp, idx, memo)
+        memo[(key, min_idx)] = total
+        return total
 
 
 def factorization_lengths(seq: Sequence, atoms: Optional[AtomSet] = None,

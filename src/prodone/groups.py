@@ -18,6 +18,10 @@ from .errors import GroupSpecError, GroupValidationError
 
 ASSOC_EXHAUSTIVE_MAX = 64
 ASSOC_SAMPLES = 10**6
+# Groups with more automorphisms than this report the identity alone, which
+# bounds the search for them and the orbit test per scanned multiset
+# (|Aut(C2^4)| = 20160, |Aut(C2^5)| is about 10^7).
+AUTOMORPHISM_CAP = 1000
 
 
 class Group:
@@ -26,6 +30,7 @@ class Group:
     __slots__ = (
         "order", "mul", "identity", "inv", "names", "spec",
         "_orders", "_name_to_index", "_byte_tables", "_is_abelian",
+        "_automorphisms",
     )
 
     def __init__(self, mul: Seq[Seq[int]], names: Optional[Seq[str]] = None,
@@ -46,6 +51,7 @@ class Group:
         # byte_tables[g][byte_pos][byte_val] = mask of {h*g : h in byte chunk}
         self._byte_tables: Optional[list[list[list[int]]]] = None
         self._is_abelian: Optional[bool] = None
+        self._automorphisms: Optional[tuple[tuple[int, ...], ...]] = None
 
     # -- construction checks ------------------------------------------------
 
@@ -141,6 +147,13 @@ class Group:
     def commutator_of(self, x: int, y: int) -> int:
         """x * y * x^-1 * y^-1"""
         return self.mul[self.mul[self.mul[x][y]][self.inv[x]]][self.inv[y]]
+
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """All automorphisms as permutation tuples (g -> perm[g]), identity
+        first; the identity alone when there are more than AUTOMORPHISM_CAP."""
+        if self._automorphisms is None:
+            self._automorphisms = _find_automorphisms(self)
+        return self._automorphisms
 
     def power(self, g: int, k: int) -> int:
         k %= self.element_order(g)
@@ -258,6 +271,75 @@ def closure_of(group: Group, gens: Iterable[int]) -> frozenset[int]:
     return frozenset(members)
 
 
+def _small_generating_set(group: Group) -> tuple[int, ...]:
+    """Greedy generators, highest element order first."""
+    orders = group.element_orders()
+    gens: list[int] = []
+    members = frozenset((0,))
+    for g in sorted(range(group.order), key=lambda x: (-orders[x], x)):
+        if g not in members:
+            gens.append(g)
+            members = closure_of(group, gens)
+    return tuple(gens)
+
+
+def _extend_hom(group: Group, gens: Seq[int],
+                imgs: Seq[int]) -> Optional[dict[int, int]]:
+    """The map <gens> -> G sending gens to imgs, if it is an injective
+    homomorphism: it must respect right multiplication by every generator."""
+    mul = group.mul
+    phi = {0: 0}
+    used = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        fx = phi[x]
+        for g, t in zip(gens, imgs):
+            y, fy = mul[x][g], mul[fx][t]
+            got = phi.get(y)
+            if got is None:
+                if fy in used:
+                    return None
+                phi[y] = fy
+                used.add(fy)
+                frontier.append(y)
+            elif got != fy:
+                return None
+    return phi
+
+
+def _find_automorphisms(group: Group) -> tuple[tuple[int, ...], ...]:
+    n = group.order
+    gens = _small_generating_set(group)
+    orders = group.element_orders()
+    choices = [[h for h in range(n) if orders[h] == orders[g]] for g in gens]
+    found: list[tuple[int, ...]] = []
+    if not gens or not _extend_images(group, gens, choices, [], found):
+        return (tuple(range(n)),)
+    return tuple(sorted(found))  # the identity is the least permutation
+
+
+def _extend_images(group: Group, gens: tuple[int, ...],
+                   choices: list[list[int]], imgs: list[int],
+                   found: list[tuple[int, ...]]) -> bool:
+    """Depth-first over the images of the next generator, appending every
+    automorphism to ``found``; False once there are more than the cap."""
+    level = len(imgs)
+    for t in choices[level]:
+        imgs.append(t)
+        phi = _extend_hom(group, gens[:level + 1], imgs)
+        if phi is not None:
+            if level + 1 < len(gens):
+                if not _extend_images(group, gens, choices, imgs, found):
+                    return False
+            else:
+                found.append(tuple(phi[g] for g in range(group.order)))
+                if len(found) > AUTOMORPHISM_CAP:
+                    return False
+        imgs.pop()
+    return True
+
+
 def subgroup_generated(group: Group, gens: Iterable[int]) -> Subgroup:
     gens = tuple(sorted(set(gens)))
     return Subgroup(group, closure_of(group, gens), gens)
@@ -364,10 +446,6 @@ def abelian_group_name(group: Group) -> str:
     if not inv:
         return "C1"
     return " x ".join(f"C{d}" for d in inv)
-
-
-def abelian_isomorphic(a: Group, b: Group) -> bool:
-    return abelian_invariants(a) == abelian_invariants(b)
 
 
 def _prime_factors(n: int) -> list[int]:

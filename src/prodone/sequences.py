@@ -237,9 +237,6 @@ class PiEngine:
     def is_product_one(self, seq: Sequence) -> bool:
         return bool(self.pi_mask(seq.exps) & 1)
 
-    def is_product_one_exps(self, exps) -> bool:
-        return bool(self.pi_mask(exps) & 1)
-
     def subsequence_mask(self, exps) -> int:
         """Union of pi over all non-empty sub-multisets."""
         mask = 0

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from prodone.classsemi import build
-from prodone.groups import parse_group
+from prodone.groups import Group, parse_group
 from prodone.invariants import GroupInvariants
 from prodone.sequences import PiEngine
 
@@ -15,6 +15,17 @@ def groups():
     specs = ["C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C2xC2",
              "D6", "D8", "Q8"]
     return {spec: parse_group(spec) for spec in specs}
+
+
+@pytest.fixture
+def unreduce(monkeypatch):
+    """A switch that turns the orbit reduction off for the rest of the test:
+    every group then reports only the identity automorphism, so the scans
+    visit every multiset."""
+    def switch_off():
+        monkeypatch.setattr(Group, "automorphisms",
+                            lambda self: (tuple(range(self.order)),))
+    return switch_off
 
 
 @pytest.fixture(scope="session")

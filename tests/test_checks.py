@@ -12,6 +12,7 @@ from prodone.checks import (
     quotient_group_member_mask,
     seminormality,
 )
+from prodone.errors import BudgetExceededError
 from prodone.factor import is_atom
 from prodone.groups import parse_group
 from prodone.sequences import PiEngine, Sequence
@@ -41,6 +42,40 @@ def test_property_p_bounded_scan_is_tri_state(groups):
     v = property_P(groups["Q8"], max_len=2)
     assert v.holds is None
     assert v.bound == 2
+
+
+def test_property_p_d14_witness_is_first_of_full_scan():
+    """The orbit-reduced scan returns the counterexample that the full scan
+    meets first."""
+    v = property_P(parse_group("D14"))
+    assert v.holds is False and v.bound == 14
+    assert v.as_dict()["witness"] == {
+        "atom": "a3^2,a4^3,a5b,a6b",
+        "term": "a5b",
+        "factors": ("a5", "b"),
+        "split_sequence": "a3^2,a4^3,a5,b,a6b",
+        "split_lengths": [3],
+    }
+
+
+def test_property_p_budget_counts_skipped_candidates(groups, unreduce):
+    d8 = groups["D8"]
+    for switch in (lambda: None, unreduce):
+        switch()
+        # multisets of length 1 to 8 over 8 elements: C(16, 8) - 1 = 12869
+        assert property_P(d8, budget=12869).holds is True
+        with pytest.raises(BudgetExceededError):
+            property_P(d8, budget=12868)
+
+
+def test_property_p_over_the_automorphism_cap_is_unreduced(unreduce):
+    group = parse_group("C2xC2xC2xC2")
+    reduced_engine, full_engine = PiEngine(group), PiEngine(group)
+    got = property_P(group, reduced_engine, max_len=4)
+    unreduce()
+    assert property_P(group, full_engine, max_len=4) == got
+    assert got.holds is None
+    assert reduced_engine.memo_size() == full_engine.memo_size()
 
 
 def test_seminormality_verdicts(groups, engines):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 
 from oracles import oracle_atoms, oracle_lengths
-from prodone.errors import SequenceError
+from prodone.errors import BudgetExceededError, SequenceError
 from prodone.factor import (
     FactorizationContext,
     davenport,
@@ -13,8 +14,10 @@ from prodone.factor import (
     enumerate_atoms,
     factorization_lengths,
     is_atom,
+    orbit_getters,
     small_davenport,
 )
+from prodone.groups import parse_group
 from prodone.sequences import Sequence, iter_multisets
 
 
@@ -224,3 +227,58 @@ def test_free_sequences_shorter_than_small_davenport(groups, engines):
         for exps in iter_multisets(group.order, d + 1):
             if sum(exps) == d + 1:
                 assert not engine.is_product_one_free(Sequence(group, exps))
+
+
+def _atoms(group, support=None, budget=None):
+    kwargs = {} if budget is None else {"budget": budget}
+    atom_set = enumerate_atoms(group, support, **kwargs)
+    return atom_set.support, atom_set.max_length, atom_set.atoms
+
+
+@pytest.mark.parametrize("spec,names", [
+    ("D6", None), ("D8", None), ("Q8", None), ("D10", None),
+    ("D8", ("a", "a3", "b", "a2b")),
+    ("Q8", ("I", "J", "-I", "-J")),
+    ("Q8", ("E", "I", "K", "-E", "-K")),
+])
+def test_orbit_reduced_atoms_match_unreduced_scan(unreduce, spec, names):
+    group = parse_group(spec)
+    support = None if names is None else [group.index_of(x) for x in names]
+    reduced = _atoms(group, support)
+    unreduce()
+    assert _atoms(group, support) == reduced
+
+
+def test_orbit_getters_fix_the_support(groups):
+    d8 = groups["D8"]
+    assert len(orbit_getters(d8, tuple(range(8)))) == 7
+    sup = tuple(d8.index_of(x) for x in ("a", "a3", "b", "a2b"))
+    assert len(orbit_getters(d8, sup)) == 3
+    # a -> a^-1 moves a out of the set, b -> a^k b moves b out unless k = 0
+    sup = tuple(d8.index_of(x) for x in ("1", "a", "b"))
+    assert orbit_getters(d8, sup) == []
+
+
+def test_atom_enumeration_budget_counts_skipped_candidates(groups, unreduce):
+    q8 = groups["Q8"]
+    for switch in (lambda: None, unreduce):
+        switch()
+        # multisets of length 1 to 8 over 8 elements: C(16, 8) - 1 = 12869
+        assert len(_atoms(q8, budget=12869)[2]) == 120
+        with pytest.raises(BudgetExceededError):
+            _atoms(q8, budget=12868)
+
+
+def test_count_factorizations_leaves_no_reference_cycles(groups, invariants_ctx):
+    d6 = groups["D6"]
+    ctx = invariants_ctx["D6"].context
+    seq = Sequence.from_literal(d6, "b^6")
+    gc.collect()
+    gc.disable()
+    try:
+        count = ctx.count_factorizations(seq)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert count > 0
+    assert found == 0

@@ -6,6 +6,7 @@ import pytest
 
 from prodone.errors import GroupSpecError, GroupValidationError
 from prodone.groups import (
+    AUTOMORPHISM_CAP,
     Group,
     abelian_group_name,
     abelian_invariants,
@@ -188,3 +189,32 @@ def test_mul_mask_matches_elementwise():
         h = rng.randrange(8)
         want = d8.mask_of([d8.mul[g][h] for g in members])
         assert d8.mul_mask(mask, h) == want
+
+
+@pytest.mark.parametrize("spec,count", [
+    ("C1", 1), ("C2", 1), ("C3", 2), ("C4", 2), ("C5", 4), ("C6", 2),
+    ("C7", 6), ("C8", 4), ("D6", 6), ("D8", 8), ("Q8", 24), ("D10", 20),
+    ("D14", 42),
+])
+def test_automorphism_counts(spec, count):
+    assert len(parse_group(spec).automorphisms()) == count
+
+
+@pytest.mark.parametrize("spec", ["C6", "C2xC2", "D8", "Q8", "D10", "C2xC4"])
+def test_automorphisms_are_bijective_homomorphisms(spec):
+    group = parse_group(spec)
+    n = group.order
+    auts = group.automorphisms()
+    assert auts[0] == tuple(range(n))
+    assert len(set(auts)) == len(auts)
+    for aut in auts:
+        assert sorted(aut) == list(range(n))
+        for x in range(n):
+            for y in range(n):
+                assert aut[group.mul[x][y]] == group.mul[aut[x]][aut[y]]
+
+
+def test_automorphisms_over_the_cap_fall_back_to_identity():
+    group = parse_group("C2xC2xC2xC2")   # |Aut| = |GL(4, 2)| = 20160
+    assert AUTOMORPHISM_CAP < 20160
+    assert group.automorphisms() == (tuple(range(16)),)
