@@ -33,7 +33,6 @@ from .sequences import Sequence
 COMPUTATION_ERRORS = (
     GroupSpecError, GroupValidationError, SequenceError, ResourceLimitError,
     BudgetExceededError, FoldNotFoundError, ValidationFailure, ValueError,
-    invariants.ValidationError,
 )
 
 

@@ -13,8 +13,9 @@ expanded to its whole orbit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, sub as sub_
 from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, SequenceError, ValidationFailure
@@ -292,18 +293,29 @@ def divides_in_B(u: Sequence, w: Sequence,
 class FactorizationContext:
     """Shared memoization for sets of lengths over one group.
 
-    With an atom list the recursion only tries listed atoms; without one it
-    tests every sub-multiset for atomicity locally (used for one-off long
-    sequences where full atom enumeration is out of reach).
+    Pivot rule: the pivot of a non-empty B is its term g of lowest index.
+    Every factorization of B has an atom holding g, and such an atom A | B
+    has no term below g, so g is also A's own lowest term.  L(B) is
+    therefore the union of 1 + L(B - A) over the atoms A | B whose lowest
+    term is g and whose complement B - A is product-one (or empty); the
+    other atoms never need to be tried.  With an atom list these come from
+    one precomputed list per pivot; without one (one-off long sequences
+    where full atom enumeration is out of reach) the sub-multisets holding
+    g are tested for atomicity locally.
     """
 
     def __init__(self, group: Group, atoms: Optional[AtomSet] = None,
                  engine: Optional[PiEngine] = None):
         self.group = group
         self.engine = engine or PiEngine(group)
-        self.atom_list: Optional[list[tuple[bytes, int]]] = None
+        # by_pivot[g]: (exponents, support mask) of the atoms whose lowest
+        # term is g, in AtomSet order
+        self.by_pivot: Optional[list[list[tuple[bytes, int]]]] = None
         if atoms is not None:
-            self.atom_list = [(bytes(a.exps), a.support_mask()) for a in atoms.atoms]
+            self.by_pivot = [[] for _ in range(group.order)]
+            for a in atoms.atoms:
+                key = bytes(a.exps)
+                self.by_pivot[_pivot(key)].append((key, a.support_mask()))
         self._lengths: dict[bytes, frozenset[int]] = {}
         self._atom_cache: dict[bytes, bool] = {}
 
@@ -317,12 +329,12 @@ class FactorizationContext:
         got = self._lengths.get(key)
         if got is not None:
             return got
-        if not sum(key):
+        if not any(key):
             out = frozenset((0,))
             self._lengths[key] = out
             return out
         acc: set[int] = set()
-        for sub, comp in self._atom_splits(key):
+        for comp in self._atom_splits(key):
             for l in self._lengths_of(comp):
                 acc.add(1 + l)
         out = frozenset(acc)
@@ -330,56 +342,96 @@ class FactorizationContext:
         return out
 
     def _atom_splits(self, key: bytes):
-        n = len(key)
+        """Complements B - A of the atoms A | B holding the pivot of B, for
+        which B - A is product-one or empty."""
+        g = _pivot(key)
         pi = self.engine.pi_mask
-        if self.atom_list is not None:
-            smask = 0
-            for g, e in enumerate(key):
-                if e:
-                    smask |= 1 << g
-            for aexps, amask in self.atom_list:
+        if self.by_pivot is not None:
+            smask = _support_mask(key)
+            for aexps, amask in self.by_pivot[g]:
                 if amask & ~smask:
                     continue
-                if all(aexps[i] <= key[i] for i in range(n)):
-                    comp = bytes(key[i] - aexps[i] for i in range(n))
-                    if not sum(comp) or pi(comp) & 1:
-                        yield aexps, comp
+                comp = _minus(key, aexps)
+                if comp is not None and (not any(comp) or pi(comp) & 1):
+                    yield comp
         else:
-            for sub in iter_submultisets(key):
-                if not sum(sub):
-                    continue
+            ranges = [range(e + 1) for e in key]
+            ranges[g] = range(1, key[g] + 1)
+            for combo in itertools.product(*ranges):
+                sub = bytes(combo)
                 if _is_atom_exps(sub, self.engine, self._atom_cache):
-                    comp = bytes(key[i] - sub[i] for i in range(n))
-                    if not sum(comp) or pi(comp) & 1:
-                        yield sub, comp
+                    comp = _minus(key, sub)
+                    if not any(comp) or pi(comp) & 1:
+                        yield comp
 
     def count_factorizations(self, seq: Sequence) -> int:
-        """Number of distinct factorizations (multisets of atoms)."""
-        if self.atom_list is None:
+        """Number of distinct factorizations (multisets of atoms).
+
+        The pivot rule alone would count a factorization once for each of
+        its atoms holding the pivot g.  So the atoms holding g are taken in
+        list order: count(B, start) counts the factorizations of B whose
+        atoms holding g all sit at index >= start in g's list.  Splitting off
+        the one of least index, A at idx, leaves count(B - A, idx) while
+        B - A still holds g (its pivot is still g), and count(B - A, 0) once
+        g is used up (no remaining atom holds g; the new pivot is larger).
+        The first atom split off is determined by the factorization, so
+        each multiset of atoms is reached on exactly one path.
+        """
+        if self.by_pivot is None:
             raise ValueError("counting factorizations requires an atom list")
         if seq.length and not self.engine.is_product_one(seq):
             raise SequenceError("sequence is not product-one")
         return self._count(bytes(seq.exps), 0, {})
 
-    def _count(self, key: bytes, min_idx: int,
+    def _count(self, key: bytes, start: int,
                memo: dict[tuple[bytes, int], int]) -> int:
         # the memo is passed, not closed over, so no reference cycle keeps
         # it alive after the count returns
-        if not sum(key):
+        if not any(key):
             return 1
-        got = memo.get((key, min_idx))
+        got = memo.get((key, start))
         if got is not None:
             return got
-        n = len(key)
+        g = _pivot(key)
+        pi = self.engine.pi_mask
+        smask = _support_mask(key)
+        atoms = self.by_pivot[g]
         total = 0
-        for idx in range(min_idx, len(self.atom_list)):
-            aexps, _ = self.atom_list[idx]
-            if all(aexps[i] <= key[i] for i in range(n)):
-                comp = bytes(key[i] - aexps[i] for i in range(n))
-                if not sum(comp) or self.engine.pi_mask(comp) & 1:
+        for idx in range(start, len(atoms)):
+            aexps, amask = atoms[idx]
+            if amask & ~smask:
+                continue
+            comp = _minus(key, aexps)
+            if comp is None:
+                continue
+            if comp[g]:
+                if pi(comp) & 1:
                     total += self._count(comp, idx, memo)
-        memo[(key, min_idx)] = total
+            elif not any(comp) or pi(comp) & 1:
+                total += self._count(comp, 0, memo)
+        memo[(key, start)] = total
         return total
+
+
+def _pivot(key: bytes) -> int:
+    """Index of the first non-zero exponent."""
+    return len(key) - len(key.lstrip(b"\0"))
+
+
+def _support_mask(key: bytes) -> int:
+    m = 0
+    for g, e in enumerate(key):
+        if e:
+            m |= 1 << g
+    return m
+
+
+def _minus(key: bytes, sub: bytes) -> Optional[bytes]:
+    """key - sub, or None when sub is not a sub-multiset of key."""
+    try:
+        return bytes(map(sub_, key, sub))
+    except ValueError:
+        return None
 
 
 def factorization_lengths(seq: Sequence, atoms: Optional[AtomSet] = None,

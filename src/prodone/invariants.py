@@ -3,20 +3,21 @@ divisibility-localization invariant omega, and Davenport constants of finite
 commutative semigroups.
 
 Unions U_k collect every factorization length co-realizable with length k;
-they are computed by enumerating the distinct products of exactly k atoms
-and taking the union of their sets of lengths.  For even k the maximum
-rho_k = k*D/2 is certified without enumeration: the upper bound is forced by
-atom lengths (every atom in a 1-free product-one sequence has length >= 2)
-and the lower bound by an explicit machine-checked witness built from a
-maximal atom and its inverse sequence.
+they are computed by enumerating the distinct products of exactly k atoms,
+one per Aut(G)-orbit, and taking the union of their sets of lengths.  For
+even k the maximum rho_k = k*D/2 is certified without enumeration: the
+upper bound is forced by atom lengths (every atom in a 1-free product-one
+sequence has length >= 2) and the lower bound by an explicit
+machine-checked witness built from a maximal atom and its inverse sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Optional
 
-from .errors import BudgetExceededError, SequenceError
+from .errors import BudgetExceededError, SequenceError, ValidationFailure
 from .factor import (
     AtomSet,
     DavenportReport,
@@ -24,6 +25,7 @@ from .factor import (
     davenport,
     divides_in_B,
     enumerate_atoms,
+    orbit_getters,
 )
 from .groups import Group
 from .sequences import PiEngine, Sequence, iter_multisets
@@ -33,10 +35,6 @@ SEMIGROUP_FRONTIER_BUDGET = 2_000_000
 OMEGA_SUBSET_BUDGET = 1 << 22
 
 
-class ValidationError(RuntimeError):
-    """A value contradicts a relation it provably has to satisfy."""
-
-
 @dataclass(frozen=True)
 class UnionReport:
     k: int
@@ -44,7 +42,8 @@ class UnionReport:
     rho: int
     lam: int
     is_interval: bool
-    n_products: int
+    n_products: int      # |Z_k|, the number of distinct k-atom products
+    n_canonical: int     # Aut(G)-orbits of Z_k, the products L was computed on
 
 
 @dataclass(frozen=True)
@@ -92,32 +91,59 @@ class GroupInvariants:
 
 
 def _atom_products(inv: GroupInvariants, k: int,
-                   budget: int) -> dict[bytes, None]:
-    """Distinct products of exactly k atoms, as packed exponent vectors."""
-    n = inv.group.order
-    atoms = [bytes(a.exps) for a in inv.atoms.atoms]
-    level: dict[bytes, None] = {bytes(n): None}
+                   budget: int) -> tuple[list[bytes], int]:
+    """The k-atom products Z_k, one Aut(G)-orbit representative each.
+
+    Returns the canonical products (each the least of its orbit's exponent
+    tuples) and |Z_k|, the sum of their orbit sizes.  Built level by level:
+    if sigma maps a product of j atoms to its canonical form c, it maps the
+    product with one more atom A to c + sigma(A), so extending only the
+    canonical products by every atom reaches every orbit of the next level.
+    Multiplying by a fixed atom is injective, so |Z_j| never shrinks with j,
+    and the budget is checked against the running |Z_j| of every level.
+    """
+    group = inv.group
+    getters = orbit_getters(group, tuple(range(group.order)))
+    atoms = [a.exps for a in inv.atoms.atoms]
+    level: list[tuple[int, ...]] = [(0,) * group.order]
+    size = 1
     for _ in range(k):
-        nxt: dict[bytes, None] = {}
+        nxt: dict[tuple[int, ...], None] = {}
+        seen: set[tuple[int, ...]] = set()
+        size = 0
         for prod in level:
             for a in atoms:
-                key = bytes(x + y for x, y in zip(prod, a))
-                nxt[key] = None
-                if len(nxt) > budget:
+                key = tuple(map(add, prod, a))
+                if key in seen:
+                    continue
+                seen.add(key)
+                orbit = {key, *(get(key) for get in getters)}
+                rep = min(orbit)
+                if rep in nxt:
+                    continue
+                nxt[rep] = None
+                size += len(orbit)
+                if size > budget:
                     raise BudgetExceededError(
                         f"more than {budget} distinct {k}-atom products")
-        level = nxt
-    return level
+        level = list(nxt)
+    return [bytes(p) for p in level], size
 
 
 def unions_of_lengths(group: Group, k: int,
                       inv: Optional[GroupInvariants] = None,
                       budget: int = UNION_PRODUCT_BUDGET) -> UnionReport:
-    """U_k: all lengths co-realizable with a factorization of length k."""
+    """U_k: all lengths co-realizable with a factorization of length k.
+
+    U_k is the union of L(B) over the set Z_k of products of k atoms.  Both
+    Z_k and L are Aut(G)-invariant, so L is computed on one canonical
+    product per orbit only.  ``n_products`` is still |Z_k| (the sum of the
+    orbit sizes), and ``budget`` bounds |Z_k|, not the canonical count.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     inv = inv or GroupInvariants(group)
-    products = _atom_products(inv, k, budget)
+    products, n_products = _atom_products(inv, k, budget)
     union: set[int] = set()
     for key in products:
         seq = Sequence(group, tuple(key))
@@ -126,8 +152,9 @@ def unions_of_lengths(group: Group, k: int,
     rho, lam = ordered[-1], ordered[0]
     is_interval = ordered == tuple(range(lam, rho + 1))
     if not is_interval:
-        raise ValidationError(f"U_{k} of {group.spec} is not an interval")
-    return UnionReport(k, ordered, rho, lam, is_interval, len(products))
+        raise ValidationFailure(f"U_{k} of {group.spec} is not an interval")
+    return UnionReport(k, ordered, rho, lam, is_interval, n_products,
+                       len(products))
 
 
 def product_one_ordering(seq: Sequence, engine: PiEngine) -> list[int]:
@@ -175,7 +202,7 @@ def rho_even_certificate(inv: GroupInvariants, k: int) -> tuple[Sequence, int]:
     u = dav.atom_witness
     v = u.inverses()
     if not _seq_is_atom(v, inv):
-        raise ValidationError("inverse sequence of a maximal atom is not an atom")
+        raise ValidationFailure("inverse sequence of a maximal atom is not an atom")
     pair = u.concat(v)
     witness = pair.repeat(half)
     # short factorization: U, V alternating (2*half atoms)
@@ -184,13 +211,13 @@ def rho_even_certificate(inv: GroupInvariants, k: int) -> tuple[Sequence, int]:
     for g in terms:
         pair_atom = Sequence.from_terms(group, [g, group.inv[g]])
         if not _seq_is_atom(pair_atom, inv):
-            raise ValidationError("term/inverse pair is not an atom")
+            raise ValidationFailure("term/inverse pair is not an atom")
     long = half * big
     ls = inv.context.lengths(witness).lengths
     if short not in ls or long not in ls:
-        raise ValidationError("certificate witness misses a target length")
+        raise ValidationFailure("certificate witness misses a target length")
     if max(ls) > long:
-        raise ValidationError("witness exceeds the arithmetic bound")
+        raise ValidationFailure("witness exceeds the arithmetic bound")
     return witness, long
 
 
@@ -212,8 +239,11 @@ def rho_bounds_check(group: Group, k_max: int,
                      enum_max_k: int = 3) -> RhoReport:
     """rho_k for k <= k_max, asserting the bounds they must satisfy.
 
-    Small k are enumerated exactly; larger even k use the certified witness
-    construction (the upper and lower bounds meet, so the value is exact).
+    k <= enum_max_k are enumerated exactly (odd k included, where the
+    bounds 1 + (k-1)/2*D <= rho_k <= (k-1)/2*D + D/2 leave the value open;
+    k = 5 is in reach on D6, D8 and Q8); larger even k use the certified
+    witness construction (the upper and lower bounds meet, so the value is
+    exact).
     Odd k beyond enumeration reach are not reported.
     """
     if group.order <= 2:
@@ -225,7 +255,7 @@ def rho_bounds_check(group: Group, k_max: int,
         if k <= enum_max_k:
             rep = unions_of_lengths(group, k, inv)
             if not rep.is_interval:
-                raise ValidationError(f"U_{k} is not an interval")
+                raise ValidationFailure(f"U_{k} is not an interval")
             rho = rep.rho
             ks.append(k); rhos.append(rho); enumerated.append(True); unions.append(rep)
         elif k % 2 == 0:
@@ -234,19 +264,19 @@ def rho_bounds_check(group: Group, k_max: int,
         else:
             continue
         if 2 * rho > k * big:
-            raise ValidationError(f"rho_{k} exceeds k*D/2")
+            raise ValidationFailure(f"rho_{k} exceeds k*D/2")
         if k % 2 == 0 and rho != (k // 2) * big:
-            raise ValidationError(f"rho_{k} != (k/2)*D")
+            raise ValidationFailure(f"rho_{k} != (k/2)*D")
         if k % 2 == 1 and k > 1:
             lo = 1 + (k - 1) // 2 * big
             hi = (k - 1) // 2 * big + big // 2
             if not lo <= rho <= hi:
-                raise ValidationError(f"rho_{k} outside its sandwich")
+                raise ValidationFailure(f"rho_{k} outside its sandwich")
     got = dict(zip(ks, rhos))
     for i in ks:
         for j in ks:
             if i + j in got and got[i] + got[j] > got[i + j]:
-                raise ValidationError("rho superadditivity violated")
+                raise ValidationFailure("rho superadditivity violated")
     return RhoReport(tuple(ks), tuple(rhos), tuple(enumerated), tuple(unions))
 
 
@@ -263,9 +293,14 @@ def delta_set(group: Group, length_bound: int,
     inv = inv or GroupInvariants(group)
     if group.order <= 2:
         return DeltaReport((), length_bound, True, "factorial monoid")
+    # L(sigma(B)) = L(B) for every automorphism sigma, so one multiset per
+    # orbit (the least) is enough
+    getters = orbit_getters(group, tuple(range(group.order)))
     delta: set[int] = set()
     for exps in iter_multisets(group.order, length_bound):
         if not sum(exps):
+            continue
+        if any(get(exps) < exps for get in getters):
             continue
         if not inv.engine.pi_mask(bytes(exps)) & 1:
             continue
@@ -314,7 +349,7 @@ def omega(group: Group, class_semigroup=None,
         if n > best:
             best, best_atom, best_factors = n, atom, factors
     if best_atom is None:
-        raise ValidationError("no omega witness found")
+        raise ValidationFailure("no omega witness found")
 
     if group_.is_abelian:
         upper = dav.large
@@ -326,7 +361,7 @@ def omega(group: Group, class_semigroup=None,
         upper = dav.large + dc.small
         upper_reason = "D(G) + d(C) via localization through the class semigroup"
     if best > upper:
-        raise ValidationError("omega witness exceeds its certified upper bound")
+        raise ValidationFailure("omega witness exceeds its certified upper bound")
     return OmegaReport(best, upper, best == upper, upper_reason,
                        best_atom, best_factors, tuple(per_atom))
 

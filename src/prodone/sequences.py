@@ -298,10 +298,29 @@ def iter_multisets(n: int, max_total: int) -> Iterator[tuple[int, ...]]:
 
 
 def iter_multisets_exact(n: int, total: int) -> Iterator[tuple[int, ...]]:
-    """All multisets over n slots with exactly the given total size."""
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in iter_multisets_exact(n - 1, total - first):
-            yield (first,) + rest
+    """All multisets over n slots with exactly the given total size, in
+    lexicographic order (the first slot varies slowest).
+
+    Flat successor loop: while the last slot holds something, move one unit
+    from it to the slot before; otherwise find the rightmost non-zero slot j
+    among the others, add one to slot j - 1 and put the rest of slot j into
+    the last slot.
+    """
+    x = [0] * n
+    last = n - 1
+    x[last] = total
+    while True:
+        yield tuple(x)
+        tail = x[last]
+        if tail and last:
+            x[last - 1] += 1
+            x[last] = tail - 1
+            continue
+        j = last - 1
+        while j > 0 and not x[j]:
+            j -= 1
+        if j <= 0:
+            return
+        x[j - 1] += 1
+        x[last] = x[j] - 1
+        x[j] = 0

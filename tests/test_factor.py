@@ -282,3 +282,50 @@ def test_count_factorizations_leaves_no_reference_cycles(groups, invariants_ctx)
         gc.enable()
     assert count > 0
     assert found == 0
+
+
+def _product_one_samples(group, engine, seed, count, max_len):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        seq = Sequence.from_terms(group, [rng.randrange(group.order)
+                                          for _ in range(rng.randint(1, max_len))])
+        if engine.is_product_one(seq):
+            out.append(seq)
+    return out
+
+
+def _count_by_min_idx(atoms, engine, key, min_idx, memo):
+    """The earlier count: atoms of the whole list taken in non-decreasing
+    index order."""
+    if not sum(key):
+        return 1
+    got = memo.get((key, min_idx))
+    if got is not None:
+        return got
+    total = 0
+    for idx in range(min_idx, len(atoms)):
+        a = atoms[idx]
+        if all(x <= y for x, y in zip(a, key)):
+            comp = bytes(y - x for x, y in zip(a, key))
+            if not sum(comp) or engine.pi_mask(comp) & 1:
+                total += _count_by_min_idx(atoms, engine, comp, idx, memo)
+    memo[(key, min_idx)] = total
+    return total
+
+
+@pytest.mark.parametrize("spec", ["D6", "D8", "Q8"])
+def test_pivot_count_matches_min_idx_recursion(invariants_ctx, spec):
+    inv = invariants_ctx[spec]
+    atoms = [bytes(a.exps) for a in inv.atoms.atoms]
+    for seq in _product_one_samples(inv.group, inv.engine, 61, 25, 10):
+        want = _count_by_min_idx(atoms, inv.engine, bytes(seq.exps), 0, {})
+        assert inv.context.count_factorizations(seq) == want, seq
+
+
+@pytest.mark.parametrize("spec", ["D6", "D8", "Q8"])
+def test_local_split_lengths_match_atom_list(invariants_ctx, spec):
+    inv = invariants_ctx[spec]
+    local = FactorizationContext(inv.group, None, inv.engine)
+    for seq in _product_one_samples(inv.group, inv.engine, 67, 25, 9):
+        assert local.lengths(seq) == inv.context.lengths(seq), seq

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from prodone.errors import BudgetExceededError
 from prodone.factor import davenport, divides_in_B
-from prodone.groups import analyze
+from prodone.groups import analyze, parse_group
 from prodone.invariants import (
     GroupInvariants,
     delta_set,
@@ -38,6 +39,55 @@ def test_union_intervals_k_le_3(groups, invariants_ctx):
         for k in (1, 2, 3):
             rep = unions_of_lengths(groups[spec], k, invariants_ctx[spec])
             assert rep.is_interval, (spec, k)
+
+
+@pytest.mark.parametrize("spec,max_k", [("D6", 3), ("D8", 3), ("Q8", 2)])
+def test_unions_match_unreduced_products(groups, invariants_ctx, unreduce,
+                                         spec, max_k):
+    reduced = [unions_of_lengths(groups[spec], k, invariants_ctx[spec])
+               for k in range(1, max_k + 1)]
+    assert all(rep.n_canonical < rep.n_products for rep in reduced[1:])
+    unreduce()
+    inv = GroupInvariants(groups[spec])
+    for rep in reduced:
+        full = unions_of_lengths(groups[spec], rep.k, inv)
+        assert (full.union, full.n_products) == (rep.union, rep.n_products)
+        assert full.n_canonical == full.n_products
+
+
+def test_union_budget_bounds_the_product_count(groups, invariants_ctx, unreduce):
+    d6, inv = groups["D6"], invariants_ctx["D6"]
+    for switch in (lambda: None, unreduce):
+        switch()
+        # |Z_2| = 1010 distinct products of two atoms
+        assert unions_of_lengths(d6, 2, inv, budget=1010).n_products == 1010
+        with pytest.raises(BudgetExceededError):
+            unions_of_lengths(d6, 2, inv, budget=1009)
+
+
+def test_unions_over_the_automorphism_cap_are_unreduced(unreduce):
+    # 20160 automorphisms: identity only, so every atom is its own orbit
+    group = parse_group("C2xC2xC2xC2")
+    inv = GroupInvariants(group)
+    got = unions_of_lengths(group, 1, inv)
+    assert got.n_canonical == got.n_products == len(inv.atoms) == 324
+    unreduce()
+    assert unions_of_lengths(group, 1, inv) == got
+
+
+def test_q8_union_k3(groups, invariants_ctx):
+    rep = unions_of_lengths(groups["Q8"], 3, invariants_ctx["Q8"])
+    assert rep.union == tuple(range(2, 9))
+    assert (rep.rho, rep.lam, rep.n_products) == (8, 2, 47_282)
+
+
+def test_rho5_d6_is_exact_at_the_top_of_the_sandwich(groups, invariants_ctx):
+    rep = rho_bounds_check(groups["D6"], 5, invariants_ctx["D6"], enum_max_k=5)
+    assert rep.k_values == (1, 2, 3, 4, 5)
+    assert rep.rho == (1, 6, 9, 12, 15)
+    assert all(rep.enumerated)
+    # 2D + D/2 with D = 6: the upper end of [1 + 2D, 2D + D/2]
+    assert rep.unions[4].union == tuple(range(2, 16))
 
 
 def test_rho_values(groups, invariants_ctx):
@@ -77,6 +127,13 @@ def test_delta_c3_exact(groups, invariants_ctx):
                     omega_exact=3, property_p_holds=True)
     assert rep.delta == (1,)
     assert rep.exact
+
+
+@pytest.mark.parametrize("spec", ["D6", "D8", "Q8"])
+def test_delta_matches_unreduced_scan(groups, invariants_ctx, unreduce, spec):
+    got = delta_set(groups[spec], 8, invariants_ctx[spec])
+    unreduce()
+    assert delta_set(groups[spec], 8, invariants_ctx[spec]) == got
 
 
 def test_delta_trivial_groups(groups):

@@ -13,6 +13,7 @@ from prodone.sequences import (
     is_product_one,
     is_product_one_free,
     iter_multisets,
+    iter_multisets_exact,
     product_set,
     subsequence_products,
 )
@@ -172,3 +173,20 @@ def test_engine_memo_is_deterministic(groups):
     m1 = PiEngine(q8).pi_mask(s.exps)
     m2 = PiEngine(q8).pi_mask(s.exps)
     assert m1 == m2
+
+
+def _recursive_multisets_exact(n, total):
+    """The earlier recursive generator, kept as the order reference."""
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _recursive_multisets_exact(n - 1, total - first):
+            yield (first,) + rest
+
+
+def test_iter_multisets_exact_keeps_the_recursive_order():
+    for n in range(1, 7):
+        for total in range(7):
+            assert (list(iter_multisets_exact(n, total))
+                    == list(_recursive_multisets_exact(n, total))), (n, total)
