@@ -6,6 +6,11 @@ witness; a True verdict carries either a reason valid for the whole class of
 groups or an exhausted complete search; anything else is reported as unknown
 up to the bound actually searched.
 
+A sequence is a product of two atoms when some split (T, B - T) from
+`sequences.pivot_splits` has two atom parts; only splits whose part T holds
+the pivot of B (its lowest term) are tried, which is enough because every
+unordered split of B has a part holding the pivot.
+
 The two-atom splitting scan is orbit-reduced: whether an atom has a split
 needing three atoms is invariant under Aut(G), so only the first multiset of
 each orbit in scan order (the lexicographically least) is tested.  The first
@@ -22,7 +27,7 @@ coset; appending the inverse of one product gives the converse).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceededError
 from .factor import (
@@ -38,7 +43,7 @@ from .sequences import (
     Sequence,
     iter_multisets,
     iter_multisets_exact,
-    iter_submultisets,
+    pivot_splits,
 )
 
 PROPERTY_P_BUDGET = 2_000_000
@@ -67,28 +72,13 @@ class Verdict:
         return out
 
 
-def _splits_into_two_atoms(key: bytes, engine: PiEngine,
-                           atom_cache: dict[bytes, bool]) -> bool:
-    n = len(key)
-    total = sum(key)
-    for sub in iter_submultisets(key):
-        s = sum(sub)
-        if s == 0 or 2 * s > total:
-            continue
-        if 2 * s == total and sub > bytes(key[i] - sub[i] for i in range(n)):
-            continue
-        if _is_atom_exps(sub, engine, atom_cache):
-            comp = bytes(key[i] - sub[i] for i in range(n))
-            if _is_atom_exps(comp, engine, atom_cache):
-                return True
-    return False
-
-
 def _two_atom_bound_ok(key: bytes, engine: PiEngine,
                        atom_cache: dict[bytes, bool]) -> bool:
     """Whether the sequence is an atom or a product of exactly two atoms."""
-    return (_is_atom_exps(key, engine, atom_cache)
-            or _splits_into_two_atoms(key, engine, atom_cache))
+    return _is_atom_exps(key, engine, atom_cache) or any(
+        any(comp) and _is_atom_exps(sub, engine, atom_cache)
+        and _is_atom_exps(comp, engine, atom_cache)
+        for sub, comp in pivot_splits(key))
 
 
 def property_P(group: Group, engine: Optional[PiEngine] = None,
@@ -189,16 +179,21 @@ def seminormality(group: Group, length_bound: int = 6,
                    "no witness up to the length bound", length_bound)
 
 
+def _quotient_non_product_one(group: Group, engine: PiEngine,
+                              length_bound: int) -> Iterator[Sequence]:
+    """The non-empty sequences of length <= length_bound in the quotient
+    group that are not product-one: their products all lie in the commutator
+    subgroup and miss 1."""
+    outside = ~quotient_group_member_mask(group) | 1
+    for length in range(1, length_bound + 1):
+        for exps in iter_multisets_exact(group.order, length):
+            if not engine.pi_mask(bytes(exps)) & outside:
+                yield Sequence(group, exps)
+
+
 def _seminormality_witness(group: Group, engine: PiEngine,
                            length_bound: int) -> Optional[dict]:
-    comm_mask = quotient_group_member_mask(group)
-    for exps in iter_multisets(group.order, length_bound):
-        if not sum(exps):
-            continue
-        pm = engine.pi_mask(bytes(exps))
-        if pm & ~comm_mask or pm & 1:
-            continue
-        seq = Sequence(group, exps)
+    for seq in _quotient_non_product_one(group, engine, length_bound):
         sq = seq.repeat(2)
         cb = seq.repeat(3)
         if engine.is_product_one(sq) and engine.is_product_one(cb):
@@ -243,15 +238,8 @@ def krull_witness(group: Group, length_bound: int = 6,
 
 def _root_closure_witness(group: Group, engine: PiEngine,
                           length_bound: int) -> Optional[dict]:
-    comm_mask = quotient_group_member_mask(group)
     exponent = group.exponent()
-    for exps in iter_multisets(group.order, length_bound):
-        if not sum(exps):
-            continue
-        pm = engine.pi_mask(bytes(exps))
-        if pm & ~comm_mask or pm & 1:
-            continue
-        seq = Sequence(group, exps)
+    for seq in _quotient_non_product_one(group, engine, length_bound):
         for k in range(2, exponent + 1):
             if engine.is_product_one(seq.repeat(k)):
                 return {"root_witness": seq, "power": k}
@@ -262,7 +250,6 @@ def _root_closure_witness(group: Group, engine: PiEngine,
 class ClosureReport:
     support: tuple[int, ...]
     checked: int
-    verified: bool
 
 
 def divisor_closed_closure(group: Group, seqs: Iterable[Sequence],
@@ -302,4 +289,4 @@ def divisor_closed_closure(group: Group, seqs: Iterable[Sequence],
             raise AssertionError(
                 f"{seq.display()} does not divide its covering product")
         checked += 1
-    return ClosureReport(sup, checked, True)
+    return ClosureReport(sup, checked)

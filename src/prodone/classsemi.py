@@ -696,10 +696,8 @@ def idempotent_structure(semi: ClassSemigroup) -> IdempotentReport:
 class UnitQuotientReport:
     units: tuple[int, ...]
     unit_map: tuple[tuple[int, int], ...]      # (center element, class)
-    units_isomorphic_to_center: bool
     quotient_classes: tuple[int, ...]
     quotient_map: tuple[tuple[int, int], ...]  # (coset rep, class)
-    quotient_isomorphic: bool
 
 
 def unit_and_quotient_subgroups(semi: ClassSemigroup) -> UnitQuotientReport:
@@ -714,10 +712,8 @@ def unit_and_quotient_subgroups(semi: ClassSemigroup) -> UnitQuotientReport:
     return UnitQuotientReport(
         units=units,
         unit_map=unit_map,
-        units_isomorphic_to_center=True,
         quotient_classes=tuple(c for _, _, c in copy),
         quotient_map=tuple((rep, c) for rep, _, c in copy),
-        quotient_isomorphic=True,
     )
 
 

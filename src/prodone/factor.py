@@ -5,6 +5,11 @@ non-empty product-one sub-multisets.  Enumeration is by multiset length; for
 abelian groups atoms are produced directly from product-one-free sequences
 (append the inverse of the sum), which is exact and much faster.
 
+Every split test here goes through `sequences.pivot_splits`, which yields
+only the splits (T, B - T) whose part T holds the pivot of B (its lowest
+term).  That loses nothing: every unordered split of B has a part holding
+the pivot, so each split has both of its parts tested.
+
 The generic enumeration is orbit-reduced: automorphisms of G that fix the
 support set map atoms to atoms, so only the first multiset of each orbit in
 scan order (the lexicographically least) is tested, and every atom found is
@@ -13,18 +18,18 @@ expanded to its whole orbit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import itemgetter, sub as sub_
 from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, SequenceError, ValidationFailure
-from .groups import Group
+from .groups import Group, closure_of
 from .sequences import (
     PiEngine,
     Sequence,
     iter_multisets_exact,
-    iter_submultisets,
+    pivot,
+    pivot_splits,
 )
 
 ATOM_ENUM_BUDGET = 5_000_000  # candidate multisets across all lengths
@@ -88,25 +93,10 @@ def _is_atom_exps(key: bytes, engine: PiEngine, cache: dict[bytes, bool]) -> boo
 
 
 def _is_atom_uncached(key: bytes, engine: PiEngine) -> bool:
-    if not engine.pi_mask(key) & 1:
-        return False
-    total = sum(key)
-    if total == 1:
-        return True
-    n = len(key)
-    for sub in iter_submultisets(key):
-        s = sum(sub)
-        if s == 0 or 2 * s > total:
-            continue
-        if 2 * s == total:
-            # avoid scanning both halves of a balanced split twice
-            if sub > bytes(key[i] - sub[i] for i in range(n)):
-                continue
-        if engine.pi_mask(sub) & 1:
-            comp = bytes(key[i] - sub[i] for i in range(n))
-            if engine.pi_mask(comp) & 1:
-                return False
-    return True
+    pi = engine.pi_mask
+    return bool(pi(key) & 1) and not any(
+        any(comp) and pi(sub) & 1 and pi(comp) & 1
+        for sub, comp in pivot_splits(key))
 
 
 def orbit_getters(group: Group, sup: tuple[int, ...]) -> list[itemgetter]:
@@ -150,10 +140,7 @@ def _free_frontier(group: Group, support: tuple[int, ...],
                 ext = bytearray(exps)
                 ext[g] += 1
                 key = bytes(ext)
-                new_reach = reach
-                for sub in iter_submultisets(key):
-                    new_reach |= engine.pi_mask(sub)
-                nxt.append((key, new_reach, g))
+                nxt.append((key, engine.subsequence_mask(key) | 1, g))
         if not nxt:
             break
         levels.append([(e, r) for e, r, _ in nxt])
@@ -215,7 +202,7 @@ def _enumerate_atoms_generic(group: Group, sup: tuple[int, ...],
     atom_cache: dict[bytes, bool] = {}
     getters = orbit_getters(group, sup)
     candidates = 0
-    max_len = len(closure_elements(group, sup))
+    max_len = len(closure_of(group, sup))
     for length in range(1, max_len + 1):
         for packed in iter_multisets_exact(len(sup), length):
             candidates += 1
@@ -231,12 +218,6 @@ def _enumerate_atoms_generic(group: Group, sup: tuple[int, ...],
                 for image in {packed, *(get(packed) for get in getters)}:
                     atoms.append(Sequence(group, unpack(image)))
     return atoms
-
-
-def closure_elements(group: Group, sup: tuple[int, ...]) -> tuple[int, ...]:
-    """Elements of the subgroup generated by the support (atom length bound)."""
-    from .groups import closure_of
-    return tuple(sorted(closure_of(group, sup)))
 
 
 def small_davenport(group: Group, engine: Optional[PiEngine] = None) -> int:
@@ -300,8 +281,8 @@ class FactorizationContext:
     term is g and whose complement B - A is product-one (or empty); the
     other atoms never need to be tried.  With an atom list these come from
     one precomputed list per pivot; without one (one-off long sequences
-    where full atom enumeration is out of reach) the sub-multisets holding
-    g are tested for atomicity locally.
+    where full atom enumeration is out of reach) the parts holding g of
+    `pivot_splits(B)` are tested for atomicity locally.
     """
 
     def __init__(self, group: Group, atoms: Optional[AtomSet] = None,
@@ -315,7 +296,7 @@ class FactorizationContext:
             self.by_pivot = [[] for _ in range(group.order)]
             for a in atoms.atoms:
                 key = bytes(a.exps)
-                self.by_pivot[_pivot(key)].append((key, a.support_mask()))
+                self.by_pivot[pivot(key)].append((key, a.support_mask()))
         self._lengths: dict[bytes, frozenset[int]] = {}
         self._atom_cache: dict[bytes, bool] = {}
 
@@ -344,25 +325,20 @@ class FactorizationContext:
     def _atom_splits(self, key: bytes):
         """Complements B - A of the atoms A | B holding the pivot of B, for
         which B - A is product-one or empty."""
-        g = _pivot(key)
         pi = self.engine.pi_mask
         if self.by_pivot is not None:
             smask = _support_mask(key)
-            for aexps, amask in self.by_pivot[g]:
+            for aexps, amask in self.by_pivot[pivot(key)]:
                 if amask & ~smask:
                     continue
                 comp = _minus(key, aexps)
                 if comp is not None and (not any(comp) or pi(comp) & 1):
                     yield comp
         else:
-            ranges = [range(e + 1) for e in key]
-            ranges[g] = range(1, key[g] + 1)
-            for combo in itertools.product(*ranges):
-                sub = bytes(combo)
-                if _is_atom_exps(sub, self.engine, self._atom_cache):
-                    comp = _minus(key, sub)
-                    if not any(comp) or pi(comp) & 1:
-                        yield comp
+            for sub, comp in pivot_splits(key):
+                if (_is_atom_exps(sub, self.engine, self._atom_cache)
+                        and (not any(comp) or pi(comp) & 1)):
+                    yield comp
 
     def count_factorizations(self, seq: Sequence) -> int:
         """Number of distinct factorizations (multisets of atoms).
@@ -392,7 +368,7 @@ class FactorizationContext:
         got = memo.get((key, start))
         if got is not None:
             return got
-        g = _pivot(key)
+        g = pivot(key)
         pi = self.engine.pi_mask
         smask = _support_mask(key)
         atoms = self.by_pivot[g]
@@ -411,11 +387,6 @@ class FactorizationContext:
                 total += self._count(comp, 0, memo)
         memo[(key, start)] = total
         return total
-
-
-def _pivot(key: bytes) -> int:
-    """Index of the first non-zero exponent."""
-    return len(key) - len(key.lstrip(b"\0"))
 
 
 def _support_mask(key: bytes) -> int:

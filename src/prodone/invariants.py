@@ -254,8 +254,6 @@ def rho_bounds_check(group: Group, k_max: int,
     for k in range(1, k_max + 1):
         if k <= enum_max_k:
             rep = unions_of_lengths(group, k, inv)
-            if not rep.is_interval:
-                raise ValidationFailure(f"U_{k} is not an interval")
             rho = rep.rho
             ks.append(k); rhos.append(rho); enumerated.append(True); unions.append(rep)
         elif k % 2 == 0:
@@ -357,7 +355,7 @@ def omega(group: Group, class_semigroup=None,
     else:
         if class_semigroup is None:
             raise ValueError("non-abelian omega bracket needs the class semigroup")
-        dc = semigroup_davenport_of_class_semigroup(class_semigroup)
+        dc = semigroup_davenport(class_semigroup.op)
         upper = dav.large + dc.small
         upper_reason = "D(G) + d(C) via localization through the class semigroup"
     if best > upper:
@@ -465,10 +463,6 @@ def _is_irredundant(ms: tuple[int, ...], total: int,
         return False
     # exactly one: it must be the full multiset itself
     return True
-
-
-def semigroup_davenport_of_class_semigroup(semi) -> SemigroupDavenport:
-    return semigroup_davenport(semi.op)
 
 
 def semigroup_davenport_of_group(group: Group) -> SemigroupDavenport:

@@ -4,12 +4,14 @@ Reports are plain dicts with a fixed key set; the JSON rendering is
 canonical (sorted keys, tight separators) so identical computations produce
 identical bytes, except for the timing field, which callers strip before
 byte comparisons.  Cache files are named by the hash of (group table,
-computation, parameters, schema version); writers go through a temp file
-and an atomic rename, corrupt or stale entries are evicted.
+computation, parameters, schema version, package sources), so a report
+computed by other code is never served; writers go through a temp file and
+an atomic rename, corrupt or stale entries are evicted.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -40,9 +42,24 @@ def make_report(group: Group, computation: str, parameters: dict,
     }
 
 
+@functools.cache
+def source_digest() -> str:
+    """sha256 over the package's .py files in sorted name order, each
+    entering as its name and the sha256 of its bytes; computed once."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                h.update(name.encode("utf-8") + b"\0"
+                         + hashlib.sha256(fh.read()).digest())
+    return h.hexdigest()
+
+
 def cache_key(group: Group, computation: str, parameters: dict) -> str:
     payload = canonical_json({
         "schema_version": SCHEMA_VERSION,
+        "source": source_digest(),
         "computation": computation,
         "parameters": parameters,
         "table": [list(row) for row in group.mul],

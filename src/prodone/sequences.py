@@ -291,6 +291,31 @@ def iter_submultisets(exps) -> Iterator[bytes]:
         yield bytes(combo)
 
 
+def pivot(key: bytes) -> int:
+    """The pivot of a non-empty multiset: the index of its first non-zero
+    exponent, i.e. its lowest term."""
+    return len(key) - len(key.lstrip(b"\0"))
+
+
+def pivot_splits(key: bytes) -> Iterator[tuple[bytes, bytes]]:
+    """(T, key - T) for every sub-multiset T of the non-empty `key` holding
+    its pivot, ascending in T, so the full key (with empty complement) comes
+    last.
+
+    Every unordered split {T, C} of key has a part holding the pivot, so
+    scanning these pairs reaches every split (once, or in both orders when
+    both parts hold it).  Both halves come from itertools.product over
+    ascending and descending ranges.
+    """
+    p = pivot(key)
+    up = [range(e + 1) for e in key]
+    down = [range(e, -1, -1) for e in key]
+    up[p] = range(1, key[p] + 1)
+    down[p] = range(key[p] - 1, -1, -1)
+    return zip(map(bytes, itertools.product(*up)),
+               map(bytes, itertools.product(*down)))
+
+
 def iter_multisets(n: int, max_total: int) -> Iterator[tuple[int, ...]]:
     """All multisets over n slots with total size <= max_total."""
     for total in range(max_total + 1):

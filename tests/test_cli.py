@@ -127,6 +127,18 @@ def test_cache_corrupt_file_evicted(tmp_path):
     assert not os.path.exists(path)
 
 
+def test_cache_misses_reports_of_other_code(capsys, tmp_path, monkeypatch):
+    import prodone.report as report
+    argv = ["davenport", "C3", "--cache-dir", str(tmp_path)]
+    monkeypatch.setattr(report, "source_digest", lambda: "0" * 64)
+    assert run(argv) == 0
+    assert run(argv) == 0
+    assert capsys.readouterr().out.count("[cached]") == 1
+    monkeypatch.undo()
+    assert run(argv) == 0
+    assert "[cached]" not in capsys.readouterr().out
+
+
 def test_cache_key_depends_on_parameters_and_table():
     c3, c4 = parse_group("C3"), parse_group("C4")
     assert cache_key(c3, "unions", {"k": 2}) != cache_key(c3, "unions", {"k": 3})

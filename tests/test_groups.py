@@ -57,17 +57,30 @@ def test_group_from_file_rejects_garbage(tmp_path):
         parse_group(f"file:{path}")
 
 
+# a Latin square with identity that is not associative
+NON_ASSOCIATIVE_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def test_validation_catches_non_associative_latin_square():
-    # a Latin square with identity that is not associative
-    table = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
     with pytest.raises(GroupValidationError):
+        Group(NON_ASSOCIATIVE_LOOP)
+
+
+def test_validation_is_exact_above_order_64():
+    # the loop times C13: an order-65 Latin square with identity that is
+    # not associative
+    loop, m = NON_ASSOCIATIVE_LOOP, 13
+    table = [[loop[x][y] * m + (i + j) % m for y in range(5) for j in range(m)]
+             for x in range(5) for i in range(m)]
+    with pytest.raises(GroupValidationError, match="associativity"):
         Group(table)
+    assert parse_group("D66").order == 66
 
 
 def test_quaternion_relations():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from prodone.sequences import (
     is_product_one_free,
     iter_multisets,
     iter_multisets_exact,
+    pivot,
+    pivot_splits,
     product_set,
     subsequence_products,
 )
@@ -190,3 +193,21 @@ def test_iter_multisets_exact_keeps_the_recursive_order():
         for total in range(7):
             assert (list(iter_multisets_exact(n, total))
                     == list(_recursive_multisets_exact(n, total))), (n, total)
+
+
+def test_pivot_splits_are_exact_and_cover_every_split():
+    assert pivot(bytes((0, 0, 3, 1))) == 2
+    for n in range(1, 5):
+        for exps in iter_multisets(n, 5):
+            if not sum(exps):
+                continue
+            key = bytes(exps)
+            p = pivot(key)
+            subs = [bytes(t) for t in itertools.product(*(range(e + 1) for e in key))]
+            splits = [(t, bytes(a - b for a, b in zip(key, t))) for t in subs]
+            got = list(pivot_splits(key))
+            # every (T, key - T) with T holding the pivot, once, ascending
+            assert got == [(t, c) for t, c in splits if t[p]], key
+            assert got[-1] == (key, bytes(n))
+            pairs = set(got)
+            assert all((t, c) in pairs or (c, t) in pairs for t, c in splits), key
