@@ -18,11 +18,17 @@ semigroup, computed here in three stages:
    blocks into blocks.  The fixpoint is the syntactic congruence of the
    acceptance set on the grid, i.e. the class semigroup.
 
+The grid lives only inside the build.  What is kept is the Cayley table of
+the classes, the class of every one-term sequence and one representative
+per class; the class of a sequence is a walk through the table, one step
+per term, starting at the class of the empty sequence.
+
 Folds are candidates, not certificates, so every build is validated: all
 structural facts (unit group, embedded quotient group, idempotent product
-sets, ...) are checked, and recognition is compared against direct
-product-one tests on an exhaustive short-sequence sweep plus seeded random
-longer sequences.  A failed validation escalates the fold caps and retries.
+sets, ...) are checked, and recognition through the reported table is
+compared against direct product-one tests on an exhaustive short-sequence
+sweep plus seeded random longer sequences.  A failed validation escalates
+the fold caps and retries.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ from .sequences import PiEngine, Sequence, iter_multisets
 SIG_CONTEXT_BUDGET = 20_000
 EXHAUSTIVE_BUDGET = 25_000
 STATE_CAP = 1 << 21
+N_RANDOM = 1000
+MAX_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -67,23 +75,22 @@ def _signature_contexts(group: Group, sig_len: int, exponent_count: int,
     return list(iter_multisets(n, sig_len))
 
 
-def discover_folds(group: Group, context_cap: Optional[int] = None,
+def discover_folds(group: Group, cap: Optional[int] = None,
                    engine: Optional[PiEngine] = None,
-                   sig_len: Optional[int] = None,
                    min_thresholds: Optional[tuple[int, ...]] = None) -> FoldParams:
     """Smallest (t, p) per element whose bounded signatures form a lasso.
 
-    The signature of g^[e] records which contexts make it product-one.  Equal
+    The signature of g^[e] records which contexts (multisets of length up to
+    ``cap``, shortened to the context budget) make it product-one.  Equal
     signatures at e = t and e = t+p are necessary for g^[t] ~ g^[t+p] but not
     sufficient; the class semigroup build re-validates the outcome.
     """
     engine = engine or PiEngine(group)
     max_ord = max(group.element_orders())
-    cap = context_cap if context_cap is not None else max_ord + 2
+    cap = cap if cap is not None else max_ord + 2
     if cap < max_ord:
         raise ValueError("context cap below maximal element order")
-    contexts = _signature_contexts(group, sig_len if sig_len is not None else cap,
-                                   2 * cap + 1)
+    contexts = _signature_contexts(group, cap, 2 * cap + 1)
     n = group.order
     thresholds = []
     periods = []
@@ -115,104 +122,47 @@ def discover_folds(group: Group, context_cap: Optional[int] = None,
 
 
 class ClassSemigroup:
-    """Finite commutative semigroup of context-equivalence classes.
+    """Finite commutative semigroup of context-equivalence classes, held as
+    its Cayley table ``op``.
 
-    Class 0 is the class of the empty sequence (the identity).  Classes are
-    numbered by the least folded state they contain, so numbering is stable
-    across runs.
+    Class 0 is the class of the empty sequence (the identity), and
+    ``singletons[g]`` is the class of the one-term sequence g.  The
+    singletons generate the semigroup, so the class of a sequence is a walk
+    through ``op``.  Classes are numbered by the least folded state they
+    contain, so numbering is stable across runs.
     """
 
-    def __init__(self, group: Group, structure: GroupStructure, folds: FoldParams,
-                 nc: list[int], zc: list[int], block_of_state, n_classes: int,
-                 op, accept, pi_masks, rep_states, provenance: dict):
+    zero = 0
+
+    def __init__(self, group: Group, structure: GroupStructure,
+                 singletons: tuple[int, ...], op, accept, pi_masks,
+                 representatives: tuple[Sequence, ...], provenance: dict):
         self.group = group
         self.structure = structure
-        self.folds = folds
-        self._nc = nc
-        self._zc = zc
-        self._zpos = {z: i for i, z in enumerate(zc)}
-        self._m = [folds.domain(g) for g in nc]
-        strides = []
-        acc = 1
-        for m in reversed(self._m):
-            strides.append(acc)
-            acc *= m
-        self._strides = list(reversed(strides))
-        self._grid = acc
-        self._block = block_of_state
-        self.n_classes = n_classes
+        self.singletons = singletons
         self.op = op
         self.accept = accept
         self.pi_masks = pi_masks
-        self._rep_states = rep_states
-        self.zero = 0
+        self.representatives = representatives
         self.provenance = provenance
 
-    # -- state plumbing ------------------------------------------------------
-
-    def _state_of_exps(self, exps) -> int:
-        z = 0
-        mul = self.group.mul
-        for zi in self._zc:
-            e = exps[zi]
-            if e:
-                x = self.group.power(zi, e)
-                z = mul[z][x]
-        idx = self._zpos[z] * self._grid
-        for pos, g in enumerate(self._nc):
-            idx += self.folds.fold(g, exps[g]) * self._strides[pos]
-        return idx
-
-    def _state_digits(self, state: int) -> tuple[int, list[int]]:
-        z_idx, rest = divmod(state, self._grid)
-        digits = []
-        for m, stride in zip(self._m, self._strides):
-            d, rest = divmod(rest, stride)
-            digits.append(d)
-        return z_idx, digits
-
-    def _state_add(self, s1: int, s2: int) -> int:
-        z1, d1 = self._state_digits(s1)
-        z2, d2 = self._state_digits(s2)
-        z = self._zpos[self.group.mul[self._zc[z1]][self._zc[z2]]]
-        idx = z * self._grid
-        for pos, g in enumerate(self._nc):
-            idx += self.folds.fold(g, d1[pos] + d2[pos]) * self._strides[pos]
-        return idx
-
-    def state_sequence(self, state: int) -> Sequence:
-        z_idx, digits = self._state_digits(state)
-        exps = [0] * self.group.order
-        z = self._zc[z_idx]
-        if z != 0:
-            exps[z] += 1
-        for pos, g in enumerate(self._nc):
-            exps[g] += digits[pos]
-        return Sequence(self.group, tuple(exps))
-
-    # -- public interface ----------------------------------------------------
+    @property
+    def n_classes(self) -> int:
+        return len(self.op)
 
     def class_of(self, seq: Sequence) -> int:
         if seq.group != self.group:
             raise ValueError("sequence is over a different group")
-        return self._block[self._state_of_exps(seq.exps)]
+        op = self.op
+        cls = self.zero
+        for g, e in enumerate(seq.exps):
+            single = self.singletons[g]
+            for _ in range(e):
+                cls = op[cls][single]
+        return cls
 
     def representative(self, cls: int) -> Sequence:
-        return self.state_sequence(self._rep_states[cls])
-
-    def add(self, c1: int, c2: int) -> int:
-        return self.op[c1][c2]
-
-    def __len__(self) -> int:
-        return self.n_classes
-
-    def power(self, cls: int, k: int) -> int:
-        if k < 1:
-            raise ValueError("semigroup powers need k >= 1")
-        acc = cls
-        for _ in range(k - 1):
-            acc = self.op[acc][cls]
-        return acc
+        return self.representatives[cls]
 
     def cyclic(self, cls: int) -> tuple[int, ...]:
         """The cyclic subsemigroup generated by a class."""
@@ -251,24 +201,9 @@ class ClassSemigroup:
                     return True
         return False
 
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group.spec,
-            "size": self.n_classes,
-            "accept": [bool(a) for a in self.accept],
-            "pi_sets": [list(self.group.mask_elements(m)) for m in self.pi_masks],
-            "representatives": [str(self.representative(c))
-                                for c in range(self.n_classes)],
-            "op": [list(row) for row in self.op],
-            "idempotents": list(self.idempotents()),
-            "units": list(self.units()),
-            "provenance": self.provenance,
-        }
 
-
-def build(group: Group, engine: Optional[PiEngine] = None, seed: int = 0,
-          n_random: int = 1000, l_check: Optional[int] = None,
-          state_cap: int = STATE_CAP, max_retries: int = 3) -> ClassSemigroup:
+def build(group: Group, engine: Optional[PiEngine] = None,
+          seed: int = 0) -> ClassSemigroup:
     """Compute the class semigroup, validate it, and retry on failure."""
     engine = engine or PiEngine(group)
     structure = analyze(group)
@@ -281,35 +216,36 @@ def build(group: Group, engine: Optional[PiEngine] = None, seed: int = 0,
     for g in range(group.order):
         if g not in structure.center.members:
             min_states *= group.element_order(g) + 1
-        if min_states > state_cap:
+        if min_states > STATE_CAP:
             raise BudgetExceededError(
                 f"class semigroup of {group.spec} needs at least {min_states} "
-                f"folded states, over the cap {state_cap}")
+                f"folded states, over the cap {STATE_CAP}")
     folds = discover_folds(group, engine=engine)
     last_error: Optional[Exception] = None
-    for attempt in range(max_retries + 1):
-        semi = _build_once(group, structure, folds, engine, seed, n_random,
-                           l_check, state_cap, attempt)
+    for attempt in range(MAX_RETRIES + 1):
+        semi = _build_once(group, structure, folds, seed, attempt)
         try:
             _validate_structure(semi)
-            _validate_recognition(semi, engine, seed, n_random, l_check)
+            _validate_recognition(semi, engine, seed)
             return semi
         except ValidationFailure as exc:
             last_error = exc
             # a failed validation means a fold candidate was too eager:
             # re-discover with longer contexts and strictly larger thresholds
             folds = discover_folds(
-                group, context_cap=max_ord + 2 + (attempt + 1), engine=engine,
-                sig_len=max_ord + 2 + (attempt + 1),
+                group, cap=max_ord + 2 + (attempt + 1), engine=engine,
                 min_thresholds=tuple(t + 1 for t in folds.thresholds))
     raise ValidationFailure(
         f"class semigroup of {group.spec} failed validation after "
-        f"{max_retries + 1} attempts: {last_error}")
+        f"{MAX_RETRIES + 1} attempts: {last_error}")
 
 
 def _build_once(group: Group, structure: GroupStructure, folds: FoldParams,
-                engine: PiEngine, seed: int, n_random: int,
-                l_check: Optional[int], state_cap: int, attempt: int) -> ClassSemigroup:
+                seed: int, attempt: int) -> ClassSemigroup:
+    """The class semigroup as the syntactic congruence of acceptance on the
+    folded grid.  A state is z_idx * grid + sum(digit * stride): the index
+    of the central product in ``zc`` and the folded exponent of every
+    non-central element of ``nc``."""
     n = group.order
     center = set(structure.center.members)
     zc = sorted(center)
@@ -319,9 +255,9 @@ def _build_once(group: Group, structure: GroupStructure, folds: FoldParams,
     for mm in m:
         grid *= mm
     n_states = len(zc) * grid
-    if n_states > state_cap:
+    if n_states > STATE_CAP:
         raise BudgetExceededError(
-            f"{n_states} folded states exceed cap {state_cap}")
+            f"{n_states} folded states exceed cap {STATE_CAP}")
 
     strides = []
     acc = 1
@@ -415,19 +351,31 @@ def _build_once(group: Group, structure: GroupStructure, folds: FoldParams,
     accept = tuple(bool(accept_state[rep_states[c]]) for c in range(n_classes))
     pi_masks = tuple(pi_state[rep_states[c]] for c in range(n_classes))
 
-    provenance = {
-        "seed": seed,
-        "attempt": attempt,
-        "states": n_states,
-        "fold_thresholds": list(folds.thresholds),
-        "fold_periods": list(folds.periods),
-    }
-    semi = ClassSemigroup(group, structure, folds, nc, zc, block, n_classes,
-                          None, accept, pi_masks, rep_states, provenance)
+    # representatives: the least state of each class, its central component
+    # written as one term
+    representatives = []
+    for state in rep_states:
+        z_idx, rest = divmod(state, grid)
+        exps = [0] * n
+        if z_idx:
+            exps[zc[z_idx]] = 1
+        for g, stride in zip(nc, strides):
+            exps[g], rest = divmod(rest, stride)
+        representatives.append(Sequence(group, tuple(exps)))
 
-    op = tuple(tuple(block[semi._state_add(rep_states[i], rep_states[j])]
-                     for j in range(n_classes)) for i in range(n_classes))
-    semi.op = op
+    # the partition is a congruence, so each one-term transition acts on
+    # classes; op[c][d] walks c along the terms of d's representative
+    step = [[block[row[state]] for state in rep_states] for row in trans]
+    op = []
+    for c in range(n_classes):
+        row = []
+        for rep in representatives:
+            cls = c
+            for g, e in enumerate(rep.exps):
+                for _ in range(e):
+                    cls = step[g][cls]
+            row.append(cls)
+        op.append(tuple(row))
 
     # blocks must have constant product sets (they start split by them and
     # refinement only splits further); verify and record
@@ -435,7 +383,16 @@ def _build_once(group: Group, structure: GroupStructure, folds: FoldParams,
         c = block[state]
         if pi_state[state] != pi_masks[c] or bool(accept_state[state]) != accept[c]:
             raise ValidationFailure("class with inconsistent product sets")
-    return semi
+    provenance = {
+        "seed": seed,
+        "attempt": attempt,
+        "states": n_states,
+        "fold_thresholds": list(folds.thresholds),
+        "fold_periods": list(folds.periods),
+    }
+    return ClassSemigroup(group, structure, tuple(step[g][0] for g in range(n)),
+                          tuple(op), accept, pi_masks, tuple(representatives),
+                          provenance)
 
 
 # -- validation ---------------------------------------------------------------
@@ -461,9 +418,7 @@ def _validate_structure(semi: ClassSemigroup) -> None:
             raise ValidationFailure("empty class is not the identity")
     if n_cl < group.order:
         raise ValidationFailure("fewer classes than group elements")
-    singles = [semi.class_of(Sequence.from_terms(group, [g]))
-               for g in range(group.order)]
-    if len(set(singles)) != group.order:
+    if len(set(semi.singletons)) != group.order:
         raise ValidationFailure("distinct singletons merged")
     for c in rng:
         if semi.accept[c] != bool(semi.pi_masks[c] & 1):
@@ -482,9 +437,7 @@ def _validate_units(semi: ClassSemigroup) -> None:
     group = semi.group
     units = semi.units()
     center = sorted(semi.structure.center.members)
-    image = {}
-    for z in center:
-        image[z] = semi.class_of(Sequence.from_terms(group, [z]))
+    image = {z: semi.singletons[z] for z in center}
     if sorted(image.values()) != sorted(units):
         raise ValidationFailure("units are not the center singletons")
     if len(set(image.values())) != len(center):
@@ -534,15 +487,9 @@ def _quotient_cosets(semi: ClassSemigroup) -> list[tuple[int, int]]:
 
 def quotient_copy(semi: ClassSemigroup) -> list[tuple[int, int, int]]:
     """(coset rep, coset mask, class) of the embedded quotient-group copy."""
-    group = semi.group
     smallest = semi.smallest_idempotent()
-    s_star = semi._rep_states[smallest]
-    out = []
-    for rep, mask in _quotient_cosets(semi):
-        state = semi._state_add(semi._state_of_exps(
-            Sequence.from_terms(group, [rep]).exps), s_star)
-        out.append((rep, mask, semi._block[state]))
-    return out
+    return [(rep, mask, semi.op[semi.singletons[rep]][smallest])
+            for rep, mask in _quotient_cosets(semi)]
 
 
 def _validate_quotient_copy(semi: ClassSemigroup) -> None:
@@ -620,25 +567,21 @@ def _validate_commutator_two(semi: ClassSemigroup) -> None:
             if gk in center:
                 continue
             c1 = semi.class_of(Sequence.from_pairs(group, [(g, k)]))
-            c2 = semi.class_of(Sequence.from_terms(group, [gk]))
+            c2 = semi.singletons[gk]
             if c1 != c2:
                 raise ValidationFailure(
                     "odd power sequence does not match its product singleton")
 
 
-def _recognition_lengths(group: Group, l_check: Optional[int],
-                         engine: PiEngine) -> int:
-    if l_check is not None:
-        return l_check
+def _validate_recognition(semi: ClassSemigroup, engine: PiEngine,
+                          seed: int) -> None:
+    """Compare acceptance through ``class_of``, a walk through the reported
+    table, with direct product-one tests: every sequence up to the
+    exhaustive length, then N_RANDOM seeded longer ones."""
     from .factor import small_davenport
-    return small_davenport(group, engine) + 4
-
-
-def _validate_recognition(semi: ClassSemigroup, engine: PiEngine, seed: int,
-                          n_random: int, l_check: Optional[int]) -> None:
     group = semi.group
     n = group.order
-    l_target = _recognition_lengths(group, l_check, engine)
+    l_target = small_davenport(group, engine) + 4
     l_exh = l_target
     while l_exh > 1 and comb(l_exh + n, n) > EXHAUSTIVE_BUDGET:
         l_exh -= 1
@@ -653,7 +596,7 @@ def _validate_recognition(semi: ClassSemigroup, engine: PiEngine, seed: int,
         checked += 1
     rng = random.Random(seed)
     l_max = 2 * l_target
-    for _ in range(n_random):
+    for _ in range(N_RANDOM):
         length = rng.randint(l_exh + 1, l_max)
         exps = [0] * n
         for _ in range(length):
@@ -667,7 +610,7 @@ def _validate_recognition(semi: ClassSemigroup, engine: PiEngine, seed: int,
     semi.provenance.update({
         "recognition_exhaustive_len": l_exh,
         "recognition_exhaustive_count": checked,
-        "recognition_random_count": n_random,
+        "recognition_random_count": N_RANDOM,
         "recognition_random_max_len": l_max,
     })
 
@@ -704,9 +647,8 @@ def unit_and_quotient_subgroups(semi: ClassSemigroup) -> UnitQuotientReport:
     _validate_units(semi)
     _validate_quotient_copy(semi)
     _validate_coset_epimorphism(semi)
-    group = semi.group
     units = semi.units()
-    unit_map = tuple((z, semi.class_of(Sequence.from_terms(group, [z])))
+    unit_map = tuple((z, semi.singletons[z])
                      for z in sorted(semi.structure.center.members))
     copy = quotient_copy(semi)
     return UnitQuotientReport(

@@ -32,7 +32,7 @@ from .sequences import Sequence
 
 COMPUTATION_ERRORS = (
     GroupSpecError, GroupValidationError, SequenceError, ResourceLimitError,
-    BudgetExceededError, FoldNotFoundError, ValidationFailure, ValueError,
+    BudgetExceededError, FoldNotFoundError, ValidationFailure,
 )
 
 
@@ -41,6 +41,12 @@ def _default_cache_dir() -> Optional[str]:
     if env:
         return env
     return os.path.join(os.path.expanduser("~"), ".cache", "prodone")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _add_common(p: argparse.ArgumentParser, dot_flag: bool = False) -> None:
@@ -79,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unions", help="union of sets of lengths containing k")
     _add_common(p)
-    p.add_argument("-k", type=int, required=True, dest="k")
+    p.add_argument("-k", type=_positive_int, required=True, dest="k")
 
     p = sub.add_parser("delta", help="set of distances up to a length bound")
     _add_common(p)
@@ -196,7 +202,6 @@ def _unions_result(group: Group, k: int) -> tuple[dict, dict]:
         "union": list(rep.union),
         "rho": rep.rho,
         "lambda": rep.lam,
-        "is_interval": rep.is_interval,
         "distinct_products": rep.n_products,
     }
     return result, {"exact": True}

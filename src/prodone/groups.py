@@ -550,11 +550,19 @@ def group_from_file(path: str) -> Group:
         raise GroupSpecError("group file must be an object with 'order' and 'table'")
     order = data["order"]
     table = data["table"]
-    if not isinstance(order, int) or len(table) != order:
+    # bool is a subclass of int and 1.0 == 1, so both would slip past the
+    # table checks of Group
+    if type(order) is not int or not isinstance(table, list) or len(table) != order:
         raise GroupSpecError("group file order does not match table size")
+    if not all(isinstance(row, list) and all(type(x) is int for x in row)
+               for row in table):
+        raise GroupSpecError("group file table entries must be integers")
     names = data.get("names")
-    if names is not None and len(names) != order:
-        raise GroupSpecError("group file names length does not match order")
+    if names is not None:
+        if not isinstance(names, list) or not all(isinstance(nm, str) for nm in names):
+            raise GroupSpecError("group file names must be a list of strings")
+        if len(names) != order:
+            raise GroupSpecError("group file names length does not match order")
     return Group(table, names, spec=f"file:{path}")
 
 

@@ -41,7 +41,6 @@ class UnionReport:
     union: tuple[int, ...]
     rho: int
     lam: int
-    is_interval: bool
     n_products: int      # |Z_k|, the number of distinct k-atom products
     n_canonical: int     # Aut(G)-orbits of Z_k, the products L was computed on
 
@@ -150,11 +149,9 @@ def unions_of_lengths(group: Group, k: int,
         union.update(inv.context.lengths(seq).lengths)
     ordered = tuple(sorted(union))
     rho, lam = ordered[-1], ordered[0]
-    is_interval = ordered == tuple(range(lam, rho + 1))
-    if not is_interval:
+    if ordered != tuple(range(lam, rho + 1)):
         raise ValidationFailure(f"U_{k} of {group.spec} is not an interval")
-    return UnionReport(k, ordered, rho, lam, is_interval, n_products,
-                       len(products))
+    return UnionReport(k, ordered, rho, lam, n_products, len(products))
 
 
 def product_one_ordering(seq: Sequence, engine: PiEngine) -> list[int]:

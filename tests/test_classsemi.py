@@ -328,10 +328,28 @@ def test_wrong_fold_is_caught_by_validation(groups, engines):
     periods = list(good.periods)
     thresholds[b], periods[b] = 1, 2  # claims b ~ b^3
     bad = FoldParams(tuple(thresholds), tuple(periods))
-    semi = _build_once(d6, analyze(d6), bad, engine, 0, 100, None, 1 << 21, 0)
+    semi = _build_once(d6, analyze(d6), bad, 0, 0)
     with pytest.raises(ValidationFailure):
         _validate_structure(semi)
-        _validate_recognition(semi, engine, 0, 100, None)
+        _validate_recognition(semi, engine, 0)
+
+
+def test_recognition_checks_the_reported_table(groups, class_semigroups, engines):
+    """class_of walks op, so one wrong op entry, reached by the sequence b^2,
+    must fail the recognition sweep."""
+    import copy
+    from prodone.classsemi import _validate_recognition
+    from prodone.errors import ValidationFailure
+    d6 = groups["D6"]
+    semi = class_semigroups["D6"][0]
+    b = semi.class_of(Sequence.from_literal(d6, "b"))
+    assert semi.accept[semi.op[b][b]] and not semi.accept[b]
+    bad = copy.copy(semi)
+    bad.op = tuple(tuple(b if (i, j) == (b, b) else cls for j, cls in enumerate(row))
+                   for i, row in enumerate(semi.op))
+    bad.provenance = dict(semi.provenance)
+    with pytest.raises(ValidationFailure, match="recognition mismatch"):
+        _validate_recognition(bad, engines["D6"], 0)
 
 
 def test_build_recovers_from_forced_high_thresholds(groups, engines):
@@ -343,9 +361,9 @@ def test_build_recovers_from_forced_high_thresholds(groups, engines):
     engine = engines["D6"]
     folds = discover_folds(d6, engine=engine,
                            min_thresholds=(1,) * 6)
-    semi = _build_once(d6, analyze(d6), folds, engine, 0, 200, None, 1 << 21, 0)
+    semi = _build_once(d6, analyze(d6), folds, 0, 0)
     _validate_structure(semi)
-    _validate_recognition(semi, engine, 0, 200, None)
+    _validate_recognition(semi, engine, 0)
     assert semi.n_classes == 26
 
 

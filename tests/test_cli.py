@@ -56,6 +56,14 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("k", ["0", "-1", "two"])
+def test_unions_rejects_k_below_one_as_usage_error(k, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["unions", "C3", "-k", k, "--no-cache"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_class_semigroup_json_and_dot(capsys, tmp_path):
     jpath = tmp_path / "out.json"
     dpath = tmp_path / "out.dot"
@@ -168,12 +176,14 @@ def test_file_group_spec_through_cli(capsys, tmp_path):
     assert "small: 4" in out and "large: 5" in out
 
 
-def test_unions_command(capsys):
-    code = run(["unions", "C4", "-k", "2", "--no-cache"])
+def test_unions_command(capsys, tmp_path):
+    jpath = tmp_path / "unions.json"
+    code = run(["unions", "C4", "-k", "2", "--no-cache", "--json", str(jpath)])
     out = capsys.readouterr().out
     assert code == 0
     assert "rho: 4" in out
-    assert "is_interval: True" in out
+    result = json.loads(jpath.read_text())["result"]
+    assert result["union"] == list(range(result["lambda"], result["rho"] + 1))
 
 
 def test_delta_command(capsys):

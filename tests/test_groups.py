@@ -57,6 +57,21 @@ def test_group_from_file_rejects_garbage(tmp_path):
         parse_group(f"file:{path}")
 
 
+@pytest.mark.parametrize("data", [
+    {"order": 2, "table": [[0, 1], [1, 0.0]]},
+    {"order": 2, "table": [[0, True], [True, 0]]},
+    {"order": 2.0, "table": [[0, 1], [1, 0]]},
+    {"order": 2, "table": [[0, 1], "10"]},
+    {"order": 2, "table": [[0, 1], [1, 0]], "names": ["1", 2]},
+    {"order": 2, "table": [[0, 1], [1, 0]], "names": "ab"},
+])
+def test_group_from_file_rejects_mistyped_entries(tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(GroupSpecError):
+        parse_group(f"file:{path}")
+
+
 # a Latin square with identity that is not associative
 NON_ASSOCIATIVE_LOOP = [
     [0, 1, 2, 3, 4],

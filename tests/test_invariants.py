@@ -30,7 +30,7 @@ def test_union_k1_is_singleton(groups, invariants_ctx):
 def test_union_d6_k2(groups, invariants_ctx):
     rep = unions_of_lengths(groups["D6"], 2, invariants_ctx["D6"])
     assert rep.union == (2, 3, 4, 5, 6)
-    assert rep.is_interval
+    assert rep.union == tuple(range(rep.lam, rep.rho + 1))
     assert rep.rho == 6 and rep.lam == 2
 
 
@@ -38,7 +38,7 @@ def test_union_intervals_k_le_3(groups, invariants_ctx):
     for spec in ("C3", "C4", "C5", "C6", "D6", "D8", "Q8"):
         for k in (1, 2, 3):
             rep = unions_of_lengths(groups[spec], k, invariants_ctx[spec])
-            assert rep.is_interval, (spec, k)
+            assert rep.union == tuple(range(rep.lam, rep.rho + 1)), (spec, k)
 
 
 @pytest.mark.parametrize("spec,max_k", [("D6", 3), ("D8", 3), ("Q8", 2)])

@@ -26,7 +26,7 @@ SNAPSHOTS = [
     (["lengths", "D6", "--seq", "a^3,b^2,ab^2,a2b^2", "--count"],
      "f3a6d57c9daaaede273cee3b35c6734a1b75e2aeb0eb664cdeb5e1b50a7eaa8e"),
     (["unions", "D6", "-k", "2"],
-     "a5fd75ba16fd3810dda4e5a891e8e8dbd1aa81ea29c69c3862d493e4a5bb3946"),
+     "d8601d3045fe68d13a83cfafd1185207fa492b313e7cd674327ea123da01f513"),
     (["delta", "D8"],
      "e110d728cd8fb7e45e79a1f685e8fa766b63ead18cdba849f94291bd222c1ed1"),
     (["check", "Q8", "--property", "p"],
@@ -37,6 +37,12 @@ SNAPSHOTS = [
      "0624f4d3d9a50093d333ba48bc48b129cb5c2da5e7405216c8fb0efcede46da0"),
     (["class-semigroup", "D6"],
      "bd2bc2a6f589704ffb4c5b1a33f9e703953130ca094b40cdc91be14a27d0f748"),
+    (["class-semigroup", "Q8"],
+     "460fd2327c59494b72241d578986808cd7f4fc9aae3fbcbc7fba508545fd096c"),
+    (["omega", "D6"],
+     "5d750828cf63b03d5fc55567b8e74a2080476e6ef0e5e435e89b2d62dd08b9f2"),
+    (["semigroup-davenport", "D6"],
+     "b76381ea6e1d04c7c38f8f6f7413cb86ffd3eb974af52d72ab9be807b61265b1"),
 ]
 
 
