@@ -2,134 +2,59 @@
 
 Two sequences are equivalent when no context multiset can tell them apart:
 S ~ S' iff for every T, S*T is product-one exactly when S'*T is.  The
-quotient of all sequences by this congruence is a finite commutative
-semigroup, computed here in three stages:
+quotient of all sequences by this congruence is a finite commutative monoid
+C(G), generated by the |G| classes of the one-term sequences.
 
-1. fold discovery: for every group element g find a threshold t and period p
-   with g^[t] ~ g^[t+p]; candidates are screened by acceptance signatures
-   over a bounded family of contexts.
-2. central collapse + folded grid: terms from the center multiply into a
-   single center-valued component (central terms are context-equivalent to
-   their product); non-central exponents live in the folded range [0, t+p).
-   Folding is a congruence of the free monoid provided the fold relations
-   hold, so the grid is a finite commutative monoid quotient.
-3. partition refinement: starting from the (accept, product-set) partition
-   of the grid, split blocks until every one-generator transition maps
-   blocks into blocks.  The fixpoint is the syntactic congruence of the
-   acceptance set on the grid, i.e. the class semigroup.
+It is found by one ordered search (Froidure & Pin, "Algorithms for computing
+finite semigroups", 1997).  A sequence S is keyed by the product sets
+pi(S*T) over every context multiset T of length at most L.  Equivalent
+sequences have equal keys (g lies in pi(U) iff U*g^-1 is product-one), so
+distinct keys prove two sequences inequivalent and the number of keys found
+is a lower bound on |C(G)|.  Central terms are equivalent to their product,
+so the search runs over the exponent vectors of the non-central elements
+only, popping them in lexicographic order and extending by one term only
+the vectors whose key is new; each class z*D then arises from a class D of
+the search and an element z of the center.  L grows from 0 until the class
+count at L equals the count at L - 1, as in an observation table (Angluin,
+"Learning regular sets from queries and counterexamples", 1987).
 
-The grid lives only inside the build.  What is kept is the Cayley table of
-the classes, the class of every one-term sequence and one representative
-per class; the class of a sequence is a walk through the table, one step
-per term, starting at the class of the empty sequence.
-
-Folds are candidates, not certificates, so every build is validated: all
-structural facts (unit group, embedded quotient group, idempotent product
-sets, ...) are checked, and recognition through the reported table is
-compared against direct product-one tests on an exhaustive short-sequence
-sweep plus seeded random longer sequences.  A failed validation escalates
-the fold caps and retries.
+A bounded key can merge inequivalent sequences, so every build is validated
+once: all structural facts (unit group, embedded quotient group, idempotent
+product sets, ...) are checked, and recognition through the reported table
+is compared against direct product-one tests on an exhaustive short-sequence
+sweep plus seeded random longer sequences.  A failure raises
+``ValidationFailure``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import comb
+from operator import add
 from typing import Optional
 
-from .errors import BudgetExceededError, FoldNotFoundError, ValidationFailure
+from .errors import BudgetExceededError, ValidationFailure
 from .groups import Group, GroupStructure, analyze
 from .sequences import PiEngine, Sequence, iter_multisets
 
-SIG_CONTEXT_BUDGET = 20_000
+CLASS_CAP = 500
 EXHAUSTIVE_BUDGET = 25_000
-STATE_CAP = 1 << 21
 N_RANDOM = 1000
-MAX_RETRIES = 3
-
-
-@dataclass(frozen=True)
-class FoldParams:
-    """Per-element exponent folding: e maps to e if e < t+p, else t + (e-t) % p."""
-
-    thresholds: tuple[int, ...]
-    periods: tuple[int, ...]
-
-    def fold(self, g: int, e: int) -> int:
-        t, p = self.thresholds[g], self.periods[g]
-        return e if e < t + p else t + (e - t) % p
-
-    def domain(self, g: int) -> int:
-        return self.thresholds[g] + self.periods[g]
-
-
-def _signature_contexts(group: Group, sig_len: int, exponent_count: int,
-                        budget: int = SIG_CONTEXT_BUDGET) -> list[tuple[int, ...]]:
-    # keep the whole signature table (elements x exponents x contexts) small
-    n = group.order
-    per_element = max(500, 3_000_000 // (n * exponent_count))
-    budget = min(budget, per_element)
-    while sig_len > 1 and comb(sig_len + n, n) > budget:
-        sig_len -= 1
-    return list(iter_multisets(n, sig_len))
-
-
-def discover_folds(group: Group, cap: Optional[int] = None,
-                   engine: Optional[PiEngine] = None,
-                   min_thresholds: Optional[tuple[int, ...]] = None) -> FoldParams:
-    """Smallest (t, p) per element whose bounded signatures form a lasso.
-
-    The signature of g^[e] records which contexts (multisets of length up to
-    ``cap``, shortened to the context budget) make it product-one.  Equal
-    signatures at e = t and e = t+p are necessary for g^[t] ~ g^[t+p] but not
-    sufficient; the class semigroup build re-validates the outcome.
-    """
-    engine = engine or PiEngine(group)
-    max_ord = max(group.element_orders())
-    cap = cap if cap is not None else max_ord + 2
-    if cap < max_ord:
-        raise ValueError("context cap below maximal element order")
-    contexts = _signature_contexts(group, cap, 2 * cap + 1)
-    n = group.order
-    thresholds = []
-    periods = []
-    for g in range(n):
-        t_min = min_thresholds[g] if min_thresholds else 0
-        sigs: list[int] = []
-        for e in range(2 * cap + 1):
-            sig = 0
-            for i, ctx in enumerate(contexts):
-                exps = list(ctx)
-                exps[g] += e
-                if engine.pi_mask(bytes(exps)) & 1:
-                    sig |= 1 << i
-            sigs.append(sig)
-        found = None
-        for t in range(t_min, cap + 1):
-            for p in range(1, cap + 1):
-                if sigs[t] == sigs[t + p]:
-                    found = (t, p)
-                    break
-            if found:
-                break
-        if found is None:
-            raise FoldNotFoundError(
-                f"no exponent lasso for {group.name(g)} within cap {cap}")
-        thresholds.append(found[0])
-        periods.append(found[1])
-    return FoldParams(tuple(thresholds), tuple(periods))
 
 
 class ClassSemigroup:
-    """Finite commutative semigroup of context-equivalence classes, held as
-    its Cayley table ``op``.
+    """Finite commutative monoid of context-equivalence classes, held as its
+    Cayley table ``op``.
 
     Class 0 is the class of the empty sequence (the identity), and
     ``singletons[g]`` is the class of the one-term sequence g.  The
-    singletons generate the semigroup, so the class of a sequence is a walk
-    through ``op``.  Classes are numbered by the least folded state they
-    contain, so numbering is stable across runs.
+    singletons generate the monoid, so the class of a sequence is a walk
+    through ``op``.  Classes are numbered by their least member: by the
+    index of its central product in the sorted center, then by the
+    lexicographic order of its non-central exponents.  That member, with
+    its central part written as one term, is the class representative.
     """
 
     zero = 0
@@ -204,170 +129,126 @@ class ClassSemigroup:
 
 def build(group: Group, engine: Optional[PiEngine] = None,
           seed: int = 0) -> ClassSemigroup:
-    """Compute the class semigroup, validate it, and retry on failure."""
+    """The class semigroup found by ``discover_folds``, validated once.
+
+    Provenance: ``attempt`` is the final L (rounds start at L = 0),
+    ``class_counts`` the class count at each L, ``states`` the number of
+    sequences keyed in the final round, plus the recognition counts.
+    """
+    engine = engine or PiEngine(group)
+    semi = discover_folds(group, engine)
+    semi.provenance["seed"] = seed
+    try:
+        _validate_structure(semi)
+        _validate_recognition(semi, engine, seed)
+    except ValidationFailure as exc:
+        raise ValidationFailure(
+            f"class semigroup of {group.spec} explored at context length "
+            f"{semi.provenance['attempt']} failed validation: {exc}") from None
+    return semi
+
+
+def discover_folds(group: Group,
+                   engine: Optional[PiEngine] = None) -> ClassSemigroup:
+    """``explore`` at L = 0, 1, ... until the class count at L equals the
+    count at L - 1, unvalidated; the counts go to ``class_counts``.  (The
+    folds are the identifications S ~ S'; perfbench times this stage.)"""
+    engine = engine or PiEngine(group)
+    counts: list[int] = []
+    while len(counts) < 2 or counts[-1] != counts[-2]:
+        try:
+            semi = explore(group, len(counts), engine)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(
+                f"{exc} (counts at shorter context lengths: {counts})") from None
+        counts.append(semi.n_classes)
+    semi.provenance["class_counts"] = counts
+    return semi
+
+
+def explore(group: Group, max_len: int,
+            engine: Optional[PiEngine] = None) -> ClassSemigroup:
+    """The table of the classes that contexts of length <= ``max_len`` tell
+    apart, unvalidated.
+
+    The first member the search keys in each class is its least one:
+    lexicographic order is translation-invariant, so every vector one term
+    below a least member is a least member too, and the heap pops vectors
+    in increasing order.  More than ``CLASS_CAP`` classes, or more keyed
+    sequences than the product-set memo cap over the number of contexts,
+    raise ``BudgetExceededError``.
+    """
     engine = engine or PiEngine(group)
     structure = analyze(group)
-    max_ord = max(group.element_orders())
-    # any sound fold needs t >= 1 and a period divisible by ord(g) for
-    # non-central g (their power sequences have singleton product sets and
-    # never merge with the empty class), so the grid can never be smaller
-    # than this; fail before paying for fold discovery
-    min_states = len(structure.center.members)
-    for g in range(group.order):
-        if g not in structure.center.members:
-            min_states *= group.element_order(g) + 1
-        if min_states > STATE_CAP:
-            raise BudgetExceededError(
-                f"class semigroup of {group.spec} needs at least {min_states} "
-                f"folded states, over the cap {STATE_CAP}")
-    folds = discover_folds(group, engine=engine)
-    last_error: Optional[Exception] = None
-    for attempt in range(MAX_RETRIES + 1):
-        semi = _build_once(group, structure, folds, seed, attempt)
-        try:
-            _validate_structure(semi)
-            _validate_recognition(semi, engine, seed)
-            return semi
-        except ValidationFailure as exc:
-            last_error = exc
-            # a failed validation means a fold candidate was too eager:
-            # re-discover with longer contexts and strictly larger thresholds
-            folds = discover_folds(
-                group, cap=max_ord + 2 + (attempt + 1), engine=engine,
-                min_thresholds=tuple(t + 1 for t in folds.thresholds))
-    raise ValidationFailure(
-        f"class semigroup of {group.spec} failed validation after "
-        f"{MAX_RETRIES + 1} attempts: {last_error}")
-
-
-def _build_once(group: Group, structure: GroupStructure, folds: FoldParams,
-                seed: int, attempt: int) -> ClassSemigroup:
-    """The class semigroup as the syntactic congruence of acceptance on the
-    folded grid.  A state is z_idx * grid + sum(digit * stride): the index
-    of the central product in ``zc`` and the folded exponent of every
-    non-central element of ``nc``."""
     n = group.order
-    center = set(structure.center.members)
-    zc = sorted(center)
+    center = structure.center.members
     nc = [g for g in range(n) if g not in center]
-    m = [folds.domain(g) for g in nc]
-    grid = 1
-    for mm in m:
-        grid *= mm
-    n_states = len(zc) * grid
-    if n_states > STATE_CAP:
-        raise BudgetExceededError(
-            f"{n_states} folded states exceed cap {STATE_CAP}")
-
-    strides = []
-    acc = 1
-    for mm in reversed(m):
-        strides.append(acc)
-        acc *= mm
-    strides = list(reversed(strides))
-
-    # product sets over the non-central grid, then tensor with the center
+    contexts = [bytes(t) for t in iter_multisets(n, max_len)]
+    pi_mask = engine.pi_mask
     mul_mask = group.mul_mask
-    box = [0] * grid
-    box[0] = 1
-    for idx in range(1, grid):
-        mask = 0
-        rest = idx
-        for pos, (mm, stride) in enumerate(zip(m, strides)):
-            d, rest = divmod(rest, stride)
-            if d:
-                mask |= mul_mask(box[idx - stride], nc[pos])
-        box[idx] = mask
+    max_keyed = engine.memo_cap // len(contexts)
 
-    pi_state = [0] * n_states
-    accept_state = bytearray(n_states)
-    for z_idx, z in enumerate(zc):
-        base = z_idx * grid
-        for e_idx in range(grid):
-            pm = mul_mask(box[e_idx], z)
-            pi_state[base + e_idx] = pm
-            accept_state[base + e_idx] = pm & 1
+    def over_budget(what: str, limit: str) -> BudgetExceededError:
+        return BudgetExceededError(
+            f"class semigroup of {group.spec}: {what} at context length "
+            f"{max_len} exceed {limit}")
 
-    # one-generator transitions
-    trans = []
-    for h in range(n):
-        row = [0] * n_states
-        if h in center:
-            zmap = [0] * len(zc)
-            for z_idx, z in enumerate(zc):
-                znew = group.mul[z][h]
-                zmap[z_idx] = zc.index(znew)
-            for state in range(n_states):
-                z_idx, e_idx = divmod(state, grid)
-                row[state] = zmap[z_idx] * grid + e_idx
-        else:
-            pos = nc.index(h)
-            stride = strides[pos]
-            mm = m[pos]
-            t = folds.thresholds[h]
-            for state in range(n_states):
-                d = (state // stride) % mm
-                nd = d + 1 if d + 1 < mm else t
-                row[state] = state + (nd - d) * stride
-        trans.append(row)
+    # ordered search over non-central exponent vectors (central slots stay 0)
+    keys: dict[bytes, tuple[int, ...]] = {}
+    least: dict[tuple[int, ...], bytes] = {}
+    heap = [bytes(n)]
+    while heap:
+        e = heappop(heap)
+        if e in keys:
+            continue
+        if len(keys) >= max_keyed:
+            raise over_budget(f"{len(keys) + 1} sequences keyed over {len(contexts)} "
+                              "contexts", f"the memo cap {engine.memo_cap}")
+        key = keys[e] = tuple(pi_mask(bytes(map(add, e, t))) for t in contexts)
+        if key in least:
+            continue
+        least[key] = e
+        if len(least) > CLASS_CAP:
+            raise over_budget(f"{len(least)} classes", f"the cap {CLASS_CAP}")
+        for g in nc:
+            f = bytearray(e)
+            f[g] += 1
+            heappush(heap, bytes(f))
 
-    # partition refinement on (accept, product set), then transition splits
-    initial: dict[tuple[int, int], int] = {}
-    block = [0] * n_states
-    for state in range(n_states):
-        key = (accept_state[state], pi_state[state])
-        got = initial.get(key)
-        if got is None:
-            got = len(initial)
-            initial[key] = got
-        block[state] = got
-    n_blocks = len(initial)
+    # the classes z*D, numbered by their first (central product, vector);
+    # a central term z multiplies every product set of the key by z
+    def key_at(z: int, e: bytes) -> tuple[int, ...]:
+        return tuple(mul_mask(m, z) for m in keys[e])
 
-    while True:
-        sig_ids: dict[tuple, int] = {}
-        new_block = [0] * n_states
-        for state in range(n_states):
-            sig = (block[state],) + tuple(block[row[state]] for row in trans)
-            got = sig_ids.get(sig)
-            if got is None:
-                got = len(sig_ids)
-                sig_ids[sig] = got
-            new_block[state] = got
-        if len(sig_ids) == n_blocks:
-            break
-        block = new_block
-        n_blocks = len(sig_ids)
+    index: dict[tuple[int, ...], int] = {}
+    members: list[tuple[int, bytes]] = []
+    for z in sorted(center):
+        for e in least.values():
+            key = key_at(z, e)
+            if key not in index:
+                index[key] = len(members)
+                members.append((z, e))
+    if len(members) > CLASS_CAP:
+        raise over_budget(f"{len(members)} classes", f"the cap {CLASS_CAP}")
 
-    # stable numbering: classes ordered by least member state
-    first_state: dict[int, int] = {}
-    for state in range(n_states):
-        first_state.setdefault(block[state], state)
-    order = sorted(first_state, key=first_state.get)
-    relabel = {old: new for new, old in enumerate(order)}
-    block = [relabel[b] for b in block]
-    rep_states = [first_state[old] for old in order]
+    def successor(z: int, e: bytes, g: int) -> int:
+        if g in center:
+            return index[key_at(group.mul[z][g], e)]
+        f = bytearray(e)
+        f[g] += 1
+        return index[key_at(z, bytes(f))]
 
-    n_classes = n_blocks
-    accept = tuple(bool(accept_state[rep_states[c]]) for c in range(n_classes))
-    pi_masks = tuple(pi_state[rep_states[c]] for c in range(n_classes))
-
-    # representatives: the least state of each class, its central component
-    # written as one term
+    step = [[successor(z, e, g) for z, e in members] for g in range(n)]
     representatives = []
-    for state in rep_states:
-        z_idx, rest = divmod(state, grid)
-        exps = [0] * n
-        if z_idx:
-            exps[zc[z_idx]] = 1
-        for g, stride in zip(nc, strides):
-            exps[g], rest = divmod(rest, stride)
+    for z, e in members:
+        exps = bytearray(e)
+        if z:
+            exps[z] = 1
         representatives.append(Sequence(group, tuple(exps)))
 
-    # the partition is a congruence, so each one-term transition acts on
-    # classes; op[c][d] walks c along the terms of d's representative
-    step = [[block[row[state]] for state in rep_states] for row in trans]
+    # op[c][d] walks c along the terms of d's representative
     op = []
-    for c in range(n_classes):
+    for c in range(len(members)):
         row = []
         for rep in representatives:
             cls = c
@@ -377,22 +258,11 @@ def _build_once(group: Group, structure: GroupStructure, folds: FoldParams,
             row.append(cls)
         op.append(tuple(row))
 
-    # blocks must have constant product sets (they start split by them and
-    # refinement only splits further); verify and record
-    for state in range(n_states):
-        c = block[state]
-        if pi_state[state] != pi_masks[c] or bool(accept_state[state]) != accept[c]:
-            raise ValidationFailure("class with inconsistent product sets")
-    provenance = {
-        "seed": seed,
-        "attempt": attempt,
-        "states": n_states,
-        "fold_thresholds": list(folds.thresholds),
-        "fold_periods": list(folds.periods),
-    }
+    pi_masks = tuple(pi_mask(rep.exps) for rep in representatives)
     return ClassSemigroup(group, structure, tuple(step[g][0] for g in range(n)),
-                          tuple(op), accept, pi_masks, tuple(representatives),
-                          provenance)
+                          tuple(op), tuple(bool(m & 1) for m in pi_masks),
+                          pi_masks, tuple(representatives),
+                          {"attempt": max_len, "states": len(keys)})
 
 
 # -- validation ---------------------------------------------------------------
@@ -405,11 +275,9 @@ def _validate_structure(semi: ClassSemigroup) -> None:
     rng = range(n_cl)
     for i in rng:
         for j in rng:
-            if op[i][j] != op[j][i]:
-                raise ValidationFailure("operation table is not commutative")
-    for i in rng:
-        for j in rng:
             oij = op[i][j]
+            if oij != op[j][i]:
+                raise ValidationFailure("operation table is not commutative")
             for k in rng:
                 if op[oij][k] != op[i][op[j][k]]:
                     raise ValidationFailure("operation table is not associative")

@@ -17,7 +17,6 @@ from . import checks as checks_mod
 from . import classsemi, dot, invariants
 from .errors import (
     BudgetExceededError,
-    FoldNotFoundError,
     GroupSpecError,
     GroupValidationError,
     ResourceLimitError,
@@ -32,7 +31,7 @@ from .sequences import Sequence
 
 COMPUTATION_ERRORS = (
     GroupSpecError, GroupValidationError, SequenceError, ResourceLimitError,
-    BudgetExceededError, FoldNotFoundError, ValidationFailure,
+    BudgetExceededError, ValidationFailure,
 )
 
 
@@ -55,7 +54,7 @@ def _add_common(p: argparse.ArgumentParser, dot_flag: bool = False) -> None:
     if dot_flag:
         p.add_argument("--dot", metavar="PATH", help="write a DOT lattice diagram here")
     p.add_argument("--seed", type=int, default=0, help="RNG seed for validation sampling")
-    p.add_argument("--bound", type=int, default=None, help="search bound where applicable")
+    p.add_argument("--bound", type=_positive_int, default=None, help="search bound where applicable")
     p.add_argument("--cache-dir", default=None, help="cache directory (env PRODONE_CACHE_DIR)")
     p.add_argument("--no-cache", action="store_true", help="disable the result cache")
 
@@ -258,9 +257,9 @@ def _check_result(group: Group, prop: str, bound: Optional[int]) -> tuple[dict, 
     if prop == "p":
         verdict = checks_mod.property_P(group, max_len=bound)
     elif prop == "seminormal":
-        verdict = checks_mod.seminormality(group, bound if bound else 6)
+        verdict = checks_mod.seminormality(group, 6 if bound is None else bound)
     else:
-        verdict = checks_mod.krull_witness(group, bound if bound else 6)
+        verdict = checks_mod.krull_witness(group, 6 if bound is None else bound)
     d = verdict.as_dict()
     return d, {"exact": verdict.holds is not None, "bound": verdict.bound}
 

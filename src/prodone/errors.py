@@ -21,9 +21,5 @@ class BudgetExceededError(ResourceLimitError):
     """A search space is too large for the configured budget."""
 
 
-class FoldNotFoundError(RuntimeError):
-    """No exponent lasso was found within the context cap."""
-
-
 class ValidationFailure(RuntimeError):
     """A constructed object failed its self-checks."""

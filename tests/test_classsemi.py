@@ -5,9 +5,11 @@ import random
 import pytest
 
 from prodone.classsemi import (
+    _validate_recognition,
+    _validate_structure,
     are_equivalent,
     build,
-    discover_folds,
+    explore,
     idempotent_structure,
     quotient_copy,
     regularity_report,
@@ -17,25 +19,33 @@ from prodone.groups import abelian_invariants, parse_group
 from prodone.sequences import Sequence, iter_multisets
 
 
-def test_fold_examples(groups, engines):
+def _lasso(semi, g):
+    """The least (t, p) with g^t ~ g^(t+p), read off the classes of g^e."""
+    group = semi.group
+    seen = {}
+    for e in range(4 * group.order + 1):
+        cls = semi.class_of(Sequence.from_pairs(group, [(g, e)]))
+        if cls in seen:
+            return seen[cls], e - seen[cls]
+        seen[cls] = e
+    raise AssertionError("no repeated power class")
+
+
+def test_fold_examples(groups, class_semigroups):
     q8 = groups["Q8"]
-    folds = discover_folds(q8, engine=engines["Q8"])
-    i = q8.index_of("I")
-    assert (folds.thresholds[i], folds.periods[i]) == (1, 4)
-    assert (folds.thresholds[0], folds.periods[0]) == (0, 1)
+    semi = class_semigroups["Q8"][0]
+    lit = lambda s: Sequence.from_literal(q8, s)
+    assert are_equivalent(semi, lit("I"), lit("I^5"))
+    assert _lasso(semi, q8.index_of("I")) == (1, 4)
+    assert _lasso(semi, 0) == (0, 1)
 
     d6 = groups["D6"]
-    folds = discover_folds(d6, engine=engines["D6"])
-    b = d6.index_of("b")
-    a = d6.index_of("a")
-    assert (folds.thresholds[b], folds.periods[b]) == (2, 2)
-    assert (folds.thresholds[a], folds.periods[a]) == (2, 3)
-
-
-def test_fold_map():
-    from prodone.classsemi import FoldParams
-    fp = FoldParams((2,), (3,))
-    assert [fp.fold(0, e) for e in range(9)] == [0, 1, 2, 3, 4, 2, 3, 4, 2]
+    semi = class_semigroups["D6"][0]
+    lit = lambda s: Sequence.from_literal(d6, s)
+    assert are_equivalent(semi, lit("b^2"), lit("b^4"))
+    assert are_equivalent(semi, lit("a^2"), lit("a^5"))
+    assert _lasso(semi, d6.index_of("b")) == (2, 2)
+    assert _lasso(semi, d6.index_of("a")) == (2, 3)
 
 
 def test_sizes(class_semigroups):
@@ -237,8 +247,8 @@ def test_equivalent_classes_share_product_sets(class_semigroups, engines):
 def test_class_partition_matches_bruteforce_context_signatures(
         groups, engines, class_semigroups):
     """Independent reconstruction: classify short sequences purely by their
-    acceptance pattern over all short context multisets (no folding, no
-    refinement) and compare the partitions exactly."""
+    acceptance pattern over all short context multisets (no ordered
+    search, no central collapse) and compare the partitions exactly."""
     from collections import defaultdict
     for spec, seq_len, ctx_len, n_expected in (("D6", 4, 6, 26), ("Q8", 4, 6, 18)):
         group = groups[spec]
@@ -274,11 +284,19 @@ def test_d8_reflection_pair_relations(groups, class_semigroups):
     assert semi.op[e][e] == e
 
 
-def test_build_rejects_oversized_groups_before_discovery(groups):
+def test_build_rejects_oversized_groups():
+    """D14 passes the class cap during the search at context length 1, so
+    the build stops early and says how far it got."""
+    import time
+    from prodone.classsemi import CLASS_CAP
     from prodone.errors import BudgetExceededError
     d14 = parse_group("D14")
-    with pytest.raises(BudgetExceededError):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError,
+                       match=rf"context length 1 exceed the cap {CLASS_CAP} "
+                             r"\(counts at shorter context lengths: \[124\]\)"):
         build(d14)
+    assert time.perf_counter() - start < 20
 
 
 def test_build_is_invariant_under_element_relabeling(groups):
@@ -308,37 +326,115 @@ def test_trivial_group_is_clifford_single_class(groups, engines):
     assert rep.is_clifford and rep.regular == (0,)
 
 
-def test_wrong_fold_is_caught_by_validation(groups, engines):
-    """A fold that wrongly merges b with b^3 must fail the recognition check
-    (contexts such as (ab)^3 separate them)."""
-    from prodone.classsemi import (
-        FoldParams,
-        _build_once,
-        _validate_recognition,
-        _validate_structure,
-        discover_folds,
-    )
+@pytest.mark.parametrize("spec,max_len,n_classes",
+                         [("D6", 0, 12), ("D6", 1, 23), ("D8", 0, 12), ("Q8", 0, 12)])
+def test_underexplored_table_is_caught_by_validation(groups, spec, max_len,
+                                                     n_classes):
+    """Contexts too short to tell every class apart give a table that
+    fails both the structural checks and the recognition sweep."""
     from prodone.errors import ValidationFailure
-    from prodone.groups import analyze
-    d6 = groups["D6"]
-    engine = engines["D6"]
-    good = discover_folds(d6, engine=engine)
-    b = d6.index_of("b")
-    thresholds = list(good.thresholds)
-    periods = list(good.periods)
-    thresholds[b], periods[b] = 1, 2  # claims b ~ b^3
-    bad = FoldParams(tuple(thresholds), tuple(periods))
-    semi = _build_once(d6, analyze(d6), bad, 0, 0)
+    from prodone.sequences import PiEngine
+    group = groups[spec]
+    engine = PiEngine(group)
+    semi = explore(group, max_len, engine)
+    assert semi.n_classes == n_classes
     with pytest.raises(ValidationFailure):
         _validate_structure(semi)
+    with pytest.raises(ValidationFailure):
         _validate_recognition(semi, engine, 0)
+
+
+def test_growing_context_length_until_the_count_is_stable(class_semigroups):
+    for spec, counts in (("D6", [12, 23, 26, 26]), ("Q8", [12, 18, 18]),
+                         ("D8", [12, 18, 18])):
+        prov = class_semigroups[spec][0].provenance
+        assert prov["class_counts"] == counts
+        assert prov["attempt"] == len(counts) - 1
+
+
+@pytest.fixture(scope="module")
+def d12_semigroup():
+    return build(parse_group("D12"))
+
+
+def test_d12_class_semigroup_passes_every_validator(d12_semigroup):
+    """build runs every validator before it returns the table."""
+    assert d12_semigroup.n_classes == 52
+    assert len(d12_semigroup.units()) == 2
+    assert d12_semigroup.provenance["class_counts"] == [24, 46, 52, 52]
+
+
+def _isomorphism(a, b):
+    """A group isomorphism a -> b, found from the images of a generating set."""
+    from itertools import product
+
+    from prodone.groups import _small_generating_set
+    gens = _small_generating_set(a)
+    orders_a, orders_b = a.element_orders(), b.element_orders()
+    rng = range(a.order)
+    for imgs in product(*[[h for h in range(b.order) if orders_b[h] == orders_a[g]]
+                          for g in gens]):
+        phi, frontier = {0: 0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for g, t in zip(gens, imgs):
+                y = a.mul[x][g]
+                if y not in phi:
+                    phi[y] = b.mul[phi[x]][t]
+                    frontier.append(y)
+        if len(set(phi.values())) == b.order and all(
+                phi[a.mul[x][y]] == b.mul[phi[x]][phi[y]] for x in rng for y in rng):
+            return phi
+    raise AssertionError(f"{a.spec} and {b.spec} are not isomorphic")
+
+
+def test_c2xd6_table_is_isomorphic_to_the_validated_d12_table(d12_semigroup):
+    """D12 and C2xD6 present the same group.  A group isomorphism phi induces
+    Phi(c) = class of phi(representative of c); Phi must be a bijection that
+    preserves op, the one-term classes, acceptance and product sets.  Then
+    class_of on C2xD6 is Phi of class_of on D12 through phi, so the
+    unvalidated C2xD6 table recognises exactly what the validated D12 table
+    does, up to phi."""
+    from prodone.classsemi import discover_folds
+    a_semi = d12_semigroup
+    b_semi = discover_folds(parse_group("C2xD6"))
+    a, b = a_semi.group, b_semi.group
+    assert b_semi.provenance["class_counts"] == [24, 46, 52, 52]
+    phi = _isomorphism(a, b)
+    cmap = []
+    for c in range(a_semi.n_classes):
+        exps = [0] * b.order
+        for g, e in enumerate(a_semi.representative(c).exps):
+            exps[phi[g]] += e
+        cmap.append(b_semi.class_of(Sequence(b, tuple(exps))))
+    n = a_semi.n_classes
+    assert b_semi.n_classes == n and sorted(cmap) == list(range(n))
+    assert [cmap[a_semi.singletons[g]] for g in range(a.order)] == \
+        [b_semi.singletons[phi[g]] for g in range(a.order)]
+    for c in range(n):
+        assert b_semi.accept[cmap[c]] == a_semi.accept[c]
+        assert b_semi.pi_masks[cmap[c]] == b.mask_of(
+            phi[g] for g in a.mask_elements(a_semi.pi_masks[c]))
+        assert [cmap[a_semi.op[c][d]] for d in range(n)] == \
+            [b_semi.op[cmap[c]][cmap[d]] for d in range(n)]
+
+
+def test_memo_cap_bounds_the_keyed_sequences(groups):
+    """More keyed sequences than the memo cap over the number of contexts
+    stop the search before they are keyed."""
+    from prodone.errors import BudgetExceededError
+    from prodone.sequences import PiEngine
+    engine = PiEngine(groups["D6"], memo_cap=200)  # 84 contexts at L = 3
+    with pytest.raises(BudgetExceededError,
+                       match=r"3 sequences keyed over 84 contexts at context "
+                             r"length 3 exceed the memo cap 200"):
+        explore(groups["D6"], 3, engine)
 
 
 def test_recognition_checks_the_reported_table(groups, class_semigroups, engines):
     """class_of walks op, so one wrong op entry, reached by the sequence b^2,
     must fail the recognition sweep."""
     import copy
-    from prodone.classsemi import _validate_recognition
     from prodone.errors import ValidationFailure
     d6 = groups["D6"]
     semi = class_semigroups["D6"][0]
@@ -350,21 +446,6 @@ def test_recognition_checks_the_reported_table(groups, class_semigroups, engines
     bad.provenance = dict(semi.provenance)
     with pytest.raises(ValidationFailure, match="recognition mismatch"):
         _validate_recognition(bad, engines["D6"], 0)
-
-
-def test_build_recovers_from_forced_high_thresholds(groups, engines):
-    """Oversized (but sound) folds must refine to the same class count."""
-    from prodone.classsemi import _build_once, _validate_recognition, \
-        _validate_structure, discover_folds
-    from prodone.groups import analyze
-    d6 = groups["D6"]
-    engine = engines["D6"]
-    folds = discover_folds(d6, engine=engine,
-                           min_thresholds=(1,) * 6)
-    semi = _build_once(d6, analyze(d6), folds, 0, 0)
-    _validate_structure(semi)
-    _validate_recognition(semi, engine, 0)
-    assert semi.n_classes == 26
 
 
 def test_units_of_abelian_fixture_match_group(groups, engines):

@@ -64,6 +64,16 @@ def test_unions_rejects_k_below_one_as_usage_error(k, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["0", "-1", "two"])
+@pytest.mark.parametrize("argv", [["delta", "C3"],
+                                  ["check", "D6", "--property", "seminormal"]])
+def test_non_positive_bound_is_a_usage_error(argv, bound, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--bound", bound, "--no-cache"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_class_semigroup_json_and_dot(capsys, tmp_path):
     jpath = tmp_path / "out.json"
     dpath = tmp_path / "out.dot"
