@@ -6,16 +6,13 @@ witness; a True verdict carries either a reason valid for the whole class of
 groups or an exhausted complete search; anything else is reported as unknown
 up to the bound actually searched.
 
-A sequence is a product of two atoms when some split (T, B - T) from
-`sequences.pivot_splits` has two atom parts; only splits whose part T holds
-the pivot of B (its lowest term) are tried, which is enough because every
-unordered split of B has a part holding the pivot.
-
-The two-atom splitting scan is orbit-reduced: whether an atom has a split
-needing three atoms is invariant under Aut(G), so only the first multiset of
-each orbit in scan order (the lexicographically least) is tested.  The first
-counterexample of the full scan is such a representative, so the witness is
-the one the unreduced scan finds.
+The two-atom splitting scan walks the atoms of `factor.canonical_atoms`
+(see `factor` for the atom test and the orbit reduction) and tests their
+splits: a sequence is a product of two atoms when some split (T, B - T) from
+`sequences.pivot_splits` has two atom parts.  Whether an atom has a split
+needing three atoms is invariant under Aut(G), and the first counterexample
+of the full scan is the least of its orbit, so the witness is the one the
+unreduced scan finds.
 
 Membership of a sequence S in the quotient group of the product-one monoid
 is decided by a coset test: S belongs to it exactly when every product of S
@@ -29,13 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .errors import BudgetExceededError
 from .factor import (
     FactorizationContext,
-    _is_atom_exps,
+    canonical_atoms,
     divides_in_B,
     is_atom,
-    orbit_getters,
 )
 from .groups import Group, analyze
 from .sequences import (
@@ -72,12 +67,10 @@ class Verdict:
         return out
 
 
-def _two_atom_bound_ok(key: bytes, engine: PiEngine,
-                       atom_cache: dict[bytes, bool]) -> bool:
+def _two_atom_bound_ok(key: bytes, engine: PiEngine) -> bool:
     """Whether the sequence is an atom or a product of exactly two atoms."""
-    return _is_atom_exps(key, engine, atom_cache) or any(
-        any(comp) and _is_atom_exps(sub, engine, atom_cache)
-        and _is_atom_exps(comp, engine, atom_cache)
+    return engine.is_atom(key) or any(
+        any(comp) and engine.is_atom(sub) and engine.is_atom(comp)
         for sub, comp in pivot_splits(key))
 
 
@@ -89,54 +82,40 @@ def property_P(group: Group, engine: Optional[PiEngine] = None,
     the first counterexample.  Candidates that are not the first of their
     Aut(G)-orbit are skipped but still count against the budget."""
     engine = engine or PiEngine(group)
-    atom_cache: dict[bytes, bool] = {}
     n = group.order
     cap = max_len if max_len is not None else n
-    getters = orbit_getters(group, tuple(range(n)))
-    candidates = 0
     ok_cache: dict[bytes, bool] = {}
-    for length in range(1, cap + 1):
-        for exps in iter_multisets_exact(n, length):
-            candidates += 1
-            if candidates > budget:
-                raise BudgetExceededError(
-                    f"two-atom splitting scan exceeded {budget} candidates")
-            if any(get(exps) < exps for get in getters):
-                continue  # an earlier multiset of the same orbit stands for it
-            key = bytes(exps)
-            if (not engine.pi_mask(key) & 1
-                    or not _is_atom_exps(key, engine, atom_cache)):
-                continue
-            atom_seq = Sequence(group, exps)
-            for g in atom_seq.support():
-                for h1 in range(n):
-                    h2 = group.mul[group.inv[h1]][g]
-                    nxt = list(exps)
-                    nxt[g] -= 1
-                    nxt[h1] += 1
-                    nxt[h2] += 1
-                    nkey = bytes(nxt)
-                    ok = ok_cache.get(nkey)
-                    if ok is None:
-                        ok = _two_atom_bound_ok(nkey, engine, atom_cache)
-                        ok_cache[nkey] = ok
-                    if not ok:
-                        split_seq = Sequence(group, tuple(nxt))
-                        ctx = FactorizationContext(group, None, engine)
-                        lengths = ctx.lengths(split_seq).lengths
-                        return Verdict(
-                            property="two-atom-splitting",
-                            holds=False,
-                            reason="splitting a term yields a sequence that "
-                                   "needs at least three atoms",
-                            bound=cap,
-                            witness={
-                                "atom": atom_seq,
-                                "term": group.name(g),
-                                "factors": (group.name(h1), group.name(h2)),
-                                "split_sequence": split_seq,
-                                "split_lengths": list(lengths),
-                            })
+    for exps in canonical_atoms(group, tuple(range(n)), engine, budget, cap):
+        atom_seq = Sequence(group, exps)
+        for g in atom_seq.support():
+            for h1 in range(n):
+                h2 = group.mul[group.inv[h1]][g]
+                nxt = list(exps)
+                nxt[g] -= 1
+                nxt[h1] += 1
+                nxt[h2] += 1
+                nkey = bytes(nxt)
+                ok = ok_cache.get(nkey)
+                if ok is None:
+                    ok = _two_atom_bound_ok(nkey, engine)
+                    ok_cache[nkey] = ok
+                if not ok:
+                    split_seq = Sequence(group, tuple(nxt))
+                    ctx = FactorizationContext(group, None, engine)
+                    lengths = ctx.lengths(split_seq).lengths
+                    return Verdict(
+                        property="two-atom-splitting",
+                        holds=False,
+                        reason="splitting a term yields a sequence that "
+                               "needs at least three atoms",
+                        bound=cap,
+                        witness={
+                            "atom": atom_seq,
+                            "term": group.name(g),
+                            "factors": (group.name(h1), group.name(h2)),
+                            "split_sequence": split_seq,
+                            "split_lengths": list(lengths),
+                        })
     complete = cap >= n
     return Verdict(
         property="two-atom-splitting",

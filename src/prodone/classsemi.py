@@ -42,6 +42,7 @@ from .sequences import PiEngine, Sequence, iter_multisets
 CLASS_CAP = 500
 EXHAUSTIVE_BUDGET = 25_000
 N_RANDOM = 1000
+ZERO_CLASS_CHECK_LEN = 4  # longest sequences checked against the zero class
 
 
 class ClassSemigroup:
@@ -139,7 +140,7 @@ def build(group: Group, engine: Optional[PiEngine] = None,
     semi = discover_folds(group, engine)
     semi.provenance["seed"] = seed
     try:
-        _validate_structure(semi)
+        _validate_structure(semi, engine)
         _validate_recognition(semi, engine, seed)
     except ValidationFailure as exc:
         raise ValidationFailure(
@@ -268,7 +269,7 @@ def explore(group: Group, max_len: int,
 # -- validation ---------------------------------------------------------------
 
 
-def _validate_structure(semi: ClassSemigroup) -> None:
+def _validate_structure(semi: ClassSemigroup, engine: PiEngine) -> None:
     group = semi.group
     n_cl = semi.n_classes
     op = semi.op
@@ -296,7 +297,7 @@ def _validate_structure(semi: ClassSemigroup) -> None:
     _validate_idempotents(semi)
     _validate_quotient_copy(semi)
     _validate_coset_epimorphism(semi)
-    _validate_zero_class(semi)
+    _validate_zero_class(semi, engine)
     if len(semi.structure.commutator.members) == 2:
         _validate_commutator_two(semi)
 
@@ -405,11 +406,10 @@ def _validate_coset_epimorphism(semi: ClassSemigroup) -> None:
                 raise ValidationFailure("coset map is not a homomorphism")
 
 
-def _validate_zero_class(semi: ClassSemigroup, max_len: int = 4) -> None:
+def _validate_zero_class(semi: ClassSemigroup, engine: PiEngine) -> None:
     group = semi.group
     center = semi.structure.center.members
-    engine = PiEngine(group)
-    for exps in iter_multisets(group.order, max_len):
+    for exps in iter_multisets(group.order, ZERO_CLASS_CHECK_LEN):
         seq = Sequence(group, exps)
         in_zero = semi.class_of(seq) == semi.zero
         over_center = all(g in center for g in seq.support())

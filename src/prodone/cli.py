@@ -53,8 +53,6 @@ def _add_common(p: argparse.ArgumentParser, dot_flag: bool = False) -> None:
     p.add_argument("--json", metavar="PATH", help="write the JSON report here")
     if dot_flag:
         p.add_argument("--dot", metavar="PATH", help="write a DOT lattice diagram here")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for validation sampling")
-    p.add_argument("--bound", type=_positive_int, default=None, help="search bound where applicable")
     p.add_argument("--cache-dir", default=None, help="cache directory (env PRODONE_CACHE_DIR)")
     p.add_argument("--no-cache", action="store_true", help="disable the result cache")
 
@@ -103,9 +101,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atlas", help="summary battery over several groups")
     p.add_argument("groups", nargs="+", help="group specs")
     p.add_argument("--json", metavar="PATH")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--no-cache", action="store_true")
+
+    for name in ("class-semigroup", "omega", "semigroup-davenport", "atlas"):
+        sub.choices[name].add_argument("--seed", type=int, default=0,
+                                       help="RNG seed for validation sampling")
+    for name in ("delta", "check"):
+        sub.choices[name].add_argument("--bound", type=_positive_int, default=None,
+                                       help="search bound")
     return ap
 
 

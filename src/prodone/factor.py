@@ -5,22 +5,22 @@ non-empty product-one sub-multisets.  Enumeration is by multiset length; for
 abelian groups atoms are produced directly from product-one-free sequences
 (append the inverse of the sum), which is exact and much faster.
 
-Every split test here goes through `sequences.pivot_splits`, which yields
-only the splits (T, B - T) whose part T holds the pivot of B (its lowest
-term).  That loses nothing: every unordered split of B has a part holding
-the pivot, so each split has both of its parts tested.
-
-The generic enumeration is orbit-reduced: automorphisms of G that fix the
-support set map atoms to atoms, so only the first multiset of each orbit in
-scan order (the lexicographically least) is tested, and every atom found is
-expanded to its whole orbit.
+The atom test is `PiEngine.is_atom`, memoised per engine.  It and every
+other split test here go through `sequences.pivot_splits`, which yields only
+the splits (T, B - T) whose part T holds the pivot of B (its lowest term).
+That loses nothing: every unordered split of B has a part holding the pivot.
+The one generic atom scan, `canonical_atoms`, is orbit-reduced: automorphisms
+of G that fix the support set map atoms to atoms, so only the first multiset
+of each orbit in scan order (the lexicographically least) is tested.  The
+generic enumeration expands each atom it yields to its whole orbit;
+`checks.property_P` tests the splits of each one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter, sub as sub_
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceededError, SequenceError, ValidationFailure
 from .groups import Group, closure_of
@@ -77,26 +77,8 @@ class LengthSet:
 
 def is_atom(seq: Sequence, engine: Optional[PiEngine] = None) -> bool:
     """Product-one, non-empty, and no proper two-sided product-one split."""
-    if seq.length == 0:
-        return False
     engine = engine or PiEngine(seq.group)
-    return _is_atom_exps(bytes(seq.exps), engine, {})
-
-
-def _is_atom_exps(key: bytes, engine: PiEngine, cache: dict[bytes, bool]) -> bool:
-    got = cache.get(key)
-    if got is not None:
-        return got
-    result = _is_atom_uncached(key, engine)
-    cache[key] = result
-    return result
-
-
-def _is_atom_uncached(key: bytes, engine: PiEngine) -> bool:
-    pi = engine.pi_mask
-    return bool(pi(key) & 1) and not any(
-        any(comp) and pi(sub) & 1 and pi(comp) & 1
-        for sub, comp in pivot_splits(key))
+    return seq.length > 0 and engine.is_atom(bytes(seq.exps))
 
 
 def orbit_getters(group: Group, sup: tuple[int, ...]) -> list[itemgetter]:
@@ -190,34 +172,45 @@ def _enumerate_atoms_abelian_support(group: Group, sup: tuple[int, ...],
 
 def _enumerate_atoms_generic(group: Group, sup: tuple[int, ...],
                              engine: PiEngine, budget: int) -> list[Sequence]:
-    n = group.order
-
-    def unpack(packed: tuple[int, ...]) -> tuple[int, ...]:
-        exps = [0] * n
-        for slot, e in enumerate(packed):
-            exps[sup[slot]] = e
-        return tuple(exps)
-
-    atoms: list[Sequence] = []
-    atom_cache: dict[bytes, bool] = {}
     getters = orbit_getters(group, sup)
-    candidates = 0
     max_len = len(closure_of(group, sup))
+    return [Sequence(group, _unpack(group, sup, image))
+            for packed in canonical_atoms(group, sup, engine, budget, max_len)
+            for image in {packed, *(get(packed) for get in getters)}]
+
+
+def canonical_atoms(group: Group, sup: tuple[int, ...], engine: PiEngine,
+                    budget: int, max_len: int) -> Iterator[tuple[int, ...]]:
+    """The atoms over the support of length <= max_len that are the least of
+    their orbit under the automorphisms fixing the support set, as exponent
+    tuples over the support slots, in scan order (by length, then
+    lexicographically).  Every multiset scanned counts against the budget,
+    the skipped non-least ones included."""
+    getters = orbit_getters(group, sup)
+    pi = engine.pi_mask
+    candidates = 0
     for length in range(1, max_len + 1):
         for packed in iter_multisets_exact(len(sup), length):
             candidates += 1
             if candidates > budget:
                 raise BudgetExceededError(
-                    f"atom enumeration exceeded {budget} candidates")
+                    f"atom scan exceeded {budget} candidates at length "
+                    f"{length} of {max_len}")
             if any(get(packed) < packed for get in getters):
                 continue  # an earlier multiset of the same orbit stands for it
-            key = bytes(unpack(packed))
-            if not engine.pi_mask(key) & 1:
-                continue
-            if _is_atom_exps(key, engine, atom_cache):
-                for image in {packed, *(get(packed) for get in getters)}:
-                    atoms.append(Sequence(group, unpack(image)))
-    return atoms
+            key = bytes(_unpack(group, sup, packed))
+            # testing pi first keeps the atom memo to product-one candidates
+            if pi(key) & 1 and engine.is_atom(key):
+                yield packed
+
+
+def _unpack(group: Group, sup: tuple[int, ...],
+            packed: tuple[int, ...]) -> tuple[int, ...]:
+    """The exponent tuple over G of a tuple over the support slots."""
+    exps = [0] * group.order
+    for slot, e in enumerate(packed):
+        exps[sup[slot]] = e
+    return tuple(exps)
 
 
 def small_davenport(group: Group, engine: Optional[PiEngine] = None) -> int:
@@ -298,7 +291,6 @@ class FactorizationContext:
                 key = bytes(a.exps)
                 self.by_pivot[pivot(key)].append((key, a.support_mask()))
         self._lengths: dict[bytes, frozenset[int]] = {}
-        self._atom_cache: dict[bytes, bool] = {}
 
     def lengths(self, seq: Sequence) -> LengthSet:
         if seq.length and not self.engine.is_product_one(seq):
@@ -336,7 +328,7 @@ class FactorizationContext:
                     yield comp
         else:
             for sub, comp in pivot_splits(key):
-                if (_is_atom_exps(sub, self.engine, self._atom_cache)
+                if (self.engine.is_atom(sub)
                         and (not any(comp) or pi(comp) & 1)):
                     yield comp
 

@@ -25,6 +25,7 @@ from .factor import (
     davenport,
     divides_in_B,
     enumerate_atoms,
+    is_atom,
     orbit_getters,
 )
 from .groups import Group
@@ -198,7 +199,7 @@ def rho_even_certificate(inv: GroupInvariants, k: int) -> tuple[Sequence, int]:
     terms = product_one_ordering(dav.atom_witness, engine)
     u = dav.atom_witness
     v = u.inverses()
-    if not _seq_is_atom(v, inv):
+    if not is_atom(v, engine):
         raise ValidationFailure("inverse sequence of a maximal atom is not an atom")
     pair = u.concat(v)
     witness = pair.repeat(half)
@@ -207,7 +208,7 @@ def rho_even_certificate(inv: GroupInvariants, k: int) -> tuple[Sequence, int]:
     # long factorization: the term/inverse pairs, half*|U| atoms
     for g in terms:
         pair_atom = Sequence.from_terms(group, [g, group.inv[g]])
-        if not _seq_is_atom(pair_atom, inv):
+        if not is_atom(pair_atom, engine):
             raise ValidationFailure("term/inverse pair is not an atom")
     long = half * big
     ls = inv.context.lengths(witness).lengths
@@ -216,11 +217,6 @@ def rho_even_certificate(inv: GroupInvariants, k: int) -> tuple[Sequence, int]:
     if max(ls) > long:
         raise ValidationFailure("witness exceeds the arithmetic bound")
     return witness, long
-
-
-def _seq_is_atom(seq: Sequence, inv: GroupInvariants) -> bool:
-    key = bytes(seq.exps)
-    return any(bytes(a.exps) == key for a in inv.atoms.atoms)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ identical bytes, except for the timing field, which callers strip before
 byte comparisons.  Cache files are named by the hash of (group table,
 computation, parameters, schema version, package sources), so a report
 computed by other code is never served; writers go through a temp file and
-an atomic rename, corrupt or stale entries are evicted.
+an atomic rename; corrupt entries (unparsable, or with another key set than
+`make_report`'s) and stale ones are evicted.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from typing import Any, Callable, Optional
 from .groups import Group
 
 SCHEMA_VERSION = 1
+REPORT_KEYS = frozenset(("schema_version", "group_spec", "computation",
+                         "parameters", "result", "provenance", "timing_ms"))
 
 
 def canonical_json(obj: Any) -> str:
@@ -31,6 +34,7 @@ def canonical_json(obj: Any) -> str:
 def make_report(group: Group, computation: str, parameters: dict,
                 result: Any, provenance: dict,
                 timing_ms: Optional[float] = None) -> dict:
+    """A report with exactly the keys of `REPORT_KEYS`."""
     return {
         "schema_version": SCHEMA_VERSION,
         "group_spec": group.spec,
@@ -88,8 +92,8 @@ class ReportCache:
         except (OSError, json.JSONDecodeError):
             self._evict(path)
             return None
-        if not isinstance(report, dict) or \
-                report.get("schema_version") != SCHEMA_VERSION:
+        if not isinstance(report, dict) or report.keys() != REPORT_KEYS or \
+                report["schema_version"] != SCHEMA_VERSION:
             self._evict(path)
             return None
         return report

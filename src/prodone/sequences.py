@@ -184,13 +184,15 @@ class PiEngine:
     """Memoized product-set computations for one group.
 
     The memo is keyed by the packed exponent vector; one engine per top-level
-    computation keeps memory bounded and results reproducible.
+    computation keeps memory bounded and results reproducible.  The atom
+    memo holds only keys already in the pi memo, so `memo_cap` bounds both.
     """
 
     def __init__(self, group: Group, memo_cap: int = DEFAULT_MEMO_CAP):
         self.group = group
         self.memo_cap = memo_cap
         self._memo: dict[bytes, int] = {bytes(group.order): 1 << 0}
+        self._atoms: dict[bytes, bool] = {}
 
     def memo_size(self) -> int:
         return len(self._memo)
@@ -253,6 +255,19 @@ class PiEngine:
 
     def is_product_one_free(self, seq: Sequence) -> bool:
         return not self.subsequence_mask(seq.exps) & 1
+
+    def is_atom(self, key: bytes) -> bool:
+        """Whether the non-empty multiset `key` is an atom: product-one, and
+        no split (T, key - T) from `pivot_splits` has both parts non-empty
+        and product-one.  Memoised."""
+        got = self._atoms.get(key)
+        if got is None:
+            pi = self.pi_mask
+            got = bool(pi(key) & 1) and not any(
+                any(comp) and pi(sub) & 1 and pi(comp) & 1
+                for sub, comp in pivot_splits(key))
+            self._atoms[key] = got
+        return got
 
 
 def product_set(seq: Sequence, memo_cap: int = DEFAULT_MEMO_CAP) -> ProductSet:

@@ -339,7 +339,7 @@ def test_underexplored_table_is_caught_by_validation(groups, spec, max_len,
     semi = explore(group, max_len, engine)
     assert semi.n_classes == n_classes
     with pytest.raises(ValidationFailure):
-        _validate_structure(semi)
+        _validate_structure(semi, engine)
     with pytest.raises(ValidationFailure):
         _validate_recognition(semi, engine, 0)
 

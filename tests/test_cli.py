@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from prodone.cli import main
+from prodone.cli import build_parser, main
 from prodone.dot import bottom_node_count
 from prodone.report import SCHEMA_VERSION, ReportCache, cache_key, canonical_json
 from prodone.groups import parse_group
@@ -72,6 +72,36 @@ def test_non_positive_bound_is_a_usage_error(argv, bound, capsys):
         run(argv + ["--bound", bound, "--no-cache"])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+_ARGV = {
+    "group": ["group", "C3"],
+    "atoms": ["atoms", "C3"],
+    "davenport": ["davenport", "C3"],
+    "lengths": ["lengths", "C3", "--seq", "g^3"],
+    "class-semigroup": ["class-semigroup", "C3"],
+    "unions": ["unions", "C3", "-k", "2"],
+    "delta": ["delta", "C3"],
+    "omega": ["omega", "C3"],
+    "semigroup-davenport": ["semigroup-davenport", "C3"],
+    "check": ["check", "C3", "--property", "p"],
+    "atlas": ["atlas", "C3"],
+}
+_TAKES = {"--seed": {"class-semigroup", "omega", "semigroup-davenport", "atlas"},
+          "--bound": {"delta", "check"}}
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV))
+@pytest.mark.parametrize("flag", sorted(_TAKES))
+def test_seed_and_bound_only_where_they_are_used(command, flag, capsys):
+    argv = _ARGV[command] + [flag, "1", "--no-cache"]
+    if command in _TAKES[flag]:
+        assert getattr(build_parser().parse_args(argv), flag[2:]) == 1
+        return
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_class_semigroup_json_and_dot(capsys, tmp_path):
@@ -143,6 +173,18 @@ def test_cache_corrupt_file_evicted(tmp_path):
         fh.write("{broken")
     assert cache.get(key) is None
     assert not os.path.exists(path)
+
+
+def test_cache_entry_with_other_keys_evicted(capsys, tmp_path):
+    key = cache_key(parse_group("C3"), "group", {})
+    path = tmp_path / f"{key}.json"
+    path.write_text(canonical_json({"schema_version": SCHEMA_VERSION}))
+    assert ReportCache(str(tmp_path)).get(key) is None
+    assert not path.exists()
+    path.write_text(canonical_json({"schema_version": SCHEMA_VERSION}))
+    assert run(["group", "C3", "--cache-dir", str(tmp_path)]) == 0
+    assert "[cached]" not in capsys.readouterr().out
+    assert json.loads(path.read_text())["result"]["order"] == 3
 
 
 def test_cache_misses_reports_of_other_code(capsys, tmp_path, monkeypatch):

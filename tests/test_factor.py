@@ -331,10 +331,9 @@ def test_local_split_lengths_match_atom_list(invariants_ctx, spec):
     for seq in _product_one_samples(inv.group, inv.engine, 67, 25, 9):
         assert local.lengths(seq) == inv.context.lengths(seq), seq
     # the split tests built on pivot_splits against the brute-force oracle
-    atom_cache: dict[bytes, bool] = {}
     for seq in _product_one_samples(inv.group, inv.engine, 71, 25, 8):
         want = oracle_lengths(seq)
         assert set(local.lengths(seq).lengths) == want, seq
         assert is_atom(seq, inv.engine) == (1 in want), seq
-        assert _two_atom_bound_ok(bytes(seq.exps), inv.engine,
-                                  atom_cache) == bool(want & {1, 2}), seq
+        assert _two_atom_bound_ok(bytes(seq.exps),
+                                  inv.engine) == bool(want & {1, 2}), seq

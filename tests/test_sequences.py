@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import oracle_pi, oracle_subsequence_products
+from oracles import oracle_atoms, oracle_pi, oracle_subsequence_products
 from prodone.errors import ResourceLimitError, SequenceError
 from prodone.groups import parse_group
 from prodone.sequences import (
@@ -176,6 +176,16 @@ def test_engine_memo_is_deterministic(groups):
     m1 = PiEngine(q8).pi_mask(s.exps)
     m2 = PiEngine(q8).pi_mask(s.exps)
     assert m1 == m2
+
+
+@pytest.mark.parametrize("spec", ["D6", "Q8"])
+def test_engine_is_atom_matches_oracle_atoms(groups, spec):
+    group = groups[spec]
+    engine = PiEngine(group)
+    want = {a.exps for a in oracle_atoms(group, group.order)}
+    got = {exps for exps in iter_multisets(group.order, group.order)
+           if sum(exps) and engine.is_atom(bytes(exps))}
+    assert got == want
 
 
 def _recursive_multisets_exact(n, total):
