@@ -1,5 +1,5 @@
-"""Structural verdicts: two-atom splitting (Property P), seminormality,
-Krull/root-closure, and divisor-closed closures.
+"""Structural verdicts: two-atom splitting (Property P), seminormality and
+Krull/root-closure.
 
 Verdicts are three-valued.  A False verdict always carries a machine-checked
 witness; a True verdict carries either a reason valid for the whole class of
@@ -24,19 +24,17 @@ coset; appending the inverse of one product gives the converse).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .factor import (
     FactorizationContext,
     canonical_atoms,
-    divides_in_B,
     is_atom,
 )
 from .groups import Group, analyze
 from .sequences import (
     PiEngine,
     Sequence,
-    iter_multisets,
     iter_multisets_exact,
     pivot_splits,
 )
@@ -127,7 +125,7 @@ def property_P(group: Group, engine: Optional[PiEngine] = None,
 
 def quotient_group_member_mask(group: Group) -> int:
     """Mask of the commutator subgroup (coset test for quotient membership)."""
-    return group.mask_of(analyze(group).commutator.members)
+    return analyze(group).commutator.mask()
 
 
 def seminormality(group: Group, length_bound: int = 6,
@@ -223,49 +221,3 @@ def _root_closure_witness(group: Group, engine: PiEngine,
             if engine.is_product_one(seq.repeat(k)):
                 return {"root_witness": seq, "power": k}
     return None
-
-
-@dataclass(frozen=True)
-class ClosureReport:
-    support: tuple[int, ...]
-    checked: int
-
-
-def divisor_closed_closure(group: Group, seqs: Iterable[Sequence],
-                           engine: Optional[PiEngine] = None,
-                           length_bound: int = 4) -> ClosureReport:
-    """Support of the divisor-closed hull generated by product-one inputs.
-
-    The hull is the product-one monoid over the union of supports; this is
-    verified at desk scale by dividing every short product-one sequence over
-    the support into a product of inputs.
-    """
-    engine = engine or PiEngine(group)
-    seqs = list(seqs)
-    for s in seqs:
-        if not engine.is_product_one(s):
-            raise ValueError("closure inputs must be product-one")
-    support: set[int] = set()
-    by_element: dict[int, Sequence] = {}
-    for s in seqs:
-        for g in s.support():
-            support.add(g)
-            by_element.setdefault(g, s)
-    sup = tuple(sorted(support))
-    checked = 0
-    for exps in iter_multisets(group.order, length_bound):
-        if not sum(exps):
-            continue
-        if any(e and g not in support for g, e in enumerate(exps)):
-            continue
-        seq = Sequence(group, exps)
-        if not engine.is_product_one(seq):
-            continue
-        bundle = Sequence.empty(group)
-        for g in seq.terms():
-            bundle = bundle.concat(by_element[g])
-        if not divides_in_B(seq, bundle, engine):
-            raise AssertionError(
-                f"{seq.display()} does not divide its covering product")
-        checked += 1
-    return ClosureReport(sup, checked)

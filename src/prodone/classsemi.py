@@ -320,7 +320,7 @@ def _validate_units(semi: ClassSemigroup) -> None:
 
 def _validate_idempotents(semi: ClassSemigroup) -> None:
     group = semi.group
-    comm_mask = group.mask_of(semi.structure.commutator.members)
+    comm_mask = semi.structure.commutator.mask()
     idems = semi.idempotents()
     smallest = semi.smallest_idempotent()
     if semi.pi_masks[smallest] != comm_mask:
@@ -340,18 +340,13 @@ def _validate_idempotents(semi: ClassSemigroup) -> None:
 
 
 def _quotient_cosets(semi: ClassSemigroup) -> list[tuple[int, int]]:
-    """(least member, coset mask) for every coset of the commutator subgroup."""
-    group = semi.group
-    comm_mask = group.mask_of(semi.structure.commutator.members)
-    seen = 0
-    cosets = []
-    for g in range(group.order):
-        if seen >> g & 1:
-            continue
-        mask = group.mul_mask(comm_mask, g)
-        cosets.append((min(group.mask_elements(mask)), mask))
-        seen |= mask
-    return cosets
+    """(least member, coset mask) for every coset of the commutator
+    subgroup, ordered by least member as `GroupStructure.projection` numbers
+    them."""
+    masks = [0] * semi.structure.abelianization.order
+    for g, coset in enumerate(semi.structure.projection):
+        masks[coset] |= 1 << g
+    return [(semi.group.mask_elements(mask)[0], mask) for mask in masks]
 
 
 def quotient_copy(semi: ClassSemigroup) -> list[tuple[int, int, int]]:

@@ -52,7 +52,6 @@ class AtomSet:
 @dataclass(frozen=True)
 class DavenportReport:
     group: Group
-    support: tuple[int, ...]
     small: int
     large: int
     free_witness: Sequence
@@ -67,12 +66,6 @@ class LengthSet:
     def delta(self) -> tuple[int, ...]:
         ls = self.lengths
         return tuple(ls[i] - ls[i - 1] for i in range(1, len(ls)))
-
-    def min(self) -> int:
-        return self.lengths[0]
-
-    def max(self) -> int:
-        return self.lengths[-1]
 
 
 def is_atom(seq: Sequence, engine: Optional[PiEngine] = None) -> bool:
@@ -220,33 +213,36 @@ def small_davenport(group: Group, engine: Optional[PiEngine] = None) -> int:
     return len(levels) - 1
 
 
-def davenport(group: Group, support: Optional[Iterable[int]] = None,
-              engine: Optional[PiEngine] = None) -> DavenportReport:
+def davenport(group: Group, engine: Optional[PiEngine] = None,
+              atoms: Optional[AtomSet] = None) -> DavenportReport:
     """Small and large Davenport constants with witnesses.
 
-    The small constant comes from the frontier of product-one-free multisets;
-    the large one is the maximal atom length.  For full support the returned
-    free witness W of maximal length must satisfy Pi(W) = G \\ {1}.
+    The small constant comes from the frontier of product-one-free multisets,
+    and the returned free witness W of maximal length must satisfy
+    Pi(W) = G \\ {1}.  The large one is the maximal length in ``atoms``, the
+    atoms over all of G, which are enumerated when not given.
     """
     engine = engine or PiEngine(group)
-    sup = _support_indices(group, support)
-    levels = _free_frontier(group, sup, engine)
+    everything = tuple(range(group.order))
+    if atoms is not None and (atoms.group != group
+                              or atoms.support != everything):
+        raise ValueError("Davenport constants need the atoms over all of G")
+    levels = _free_frontier(group, everything, engine)
     small = len(levels) - 1
     free_exps, free_reach = levels[small][0]
     free_witness = Sequence(group, tuple(free_exps))
-    full = support is None or sup == tuple(range(group.order))
-    if full:
-        everything_but_one = ((1 << group.order) - 1) & ~1
-        if (free_reach & ~1) != everything_but_one:
-            raise ValidationFailure(
-                f"maximal product-one-free witness {free_witness.display()} over "
-                f"{group.spec} does not reach every non-identity element")
-    atom_set = enumerate_atoms(group, support, engine)
-    large = atom_set.max_length
-    atom_witness = next(a for a in atom_set.atoms if a.length == large)
+    everything_but_one = ((1 << group.order) - 1) & ~1
+    if (free_reach & ~1) != everything_but_one:
+        raise ValidationFailure(
+            f"maximal product-one-free witness {free_witness.display()} over "
+            f"{group.spec} does not reach every non-identity element")
+    if atoms is None:
+        atoms = enumerate_atoms(group, engine=engine)
+    large = atoms.max_length
+    atom_witness = next(a for a in atoms.atoms if a.length == large)
     if small + 1 > large:
         raise ValidationFailure("small Davenport constant exceeds large - 1")
-    return DavenportReport(group, sup, small, large, free_witness, atom_witness)
+    return DavenportReport(group, small, large, free_witness, atom_witness)
 
 
 def divides_in_B(u: Sequence, w: Sequence,
@@ -398,8 +394,6 @@ def _minus(key: bytes, sub: bytes) -> Optional[bytes]:
 
 
 def factorization_lengths(seq: Sequence, atoms: Optional[AtomSet] = None,
-                          engine: Optional[PiEngine] = None,
-                          context: Optional[FactorizationContext] = None) -> LengthSet:
+                          engine: Optional[PiEngine] = None) -> LengthSet:
     """L(B): all factorization lengths of a product-one sequence."""
-    ctx = context or FactorizationContext(seq.group, atoms, engine)
-    return ctx.lengths(seq)
+    return FactorizationContext(seq.group, atoms, engine).lengths(seq)

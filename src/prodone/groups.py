@@ -31,15 +31,14 @@ class Group:
     )
 
     def __init__(self, mul: Seq[Seq[int]], names: Optional[Seq[str]] = None,
-                 spec: str = "", validate: bool = True):
+                 spec: str = ""):
         self.order = len(mul)
         self.mul = tuple(tuple(row) for row in mul)
         self.identity = 0
         self.names = tuple(names) if names is not None else tuple(
             f"e{i}" for i in range(self.order))
         self.spec = spec or "file:<anonymous>"
-        if validate:
-            self._validate()
+        self._validate()
         self.inv = tuple(self._find_inverse(g) for g in range(self.order))
         self._orders: Optional[tuple[int, ...]] = None
         self._name_to_index = {nm: i for i, nm in enumerate(self.names)}
@@ -74,13 +73,7 @@ class Group:
         # whole table associative.  Generators are picked by index, since
         # element orders mean nothing before associativity is known.
         mul = self.mul
-        gens: list[int] = []
-        members = frozenset((0,))
-        for s in rng:
-            if s not in members:
-                gens.append(s)
-                members = closure_of(self, gens)
-        for s in gens:
+        for s in greedy_generators(self, rng):
             rs = mul[s]
             for a in rng:
                 ra = mul[a]
@@ -268,12 +261,12 @@ def closure_of(group: Group, gens: Iterable[int]) -> frozenset[int]:
     return frozenset(members)
 
 
-def _small_generating_set(group: Group) -> tuple[int, ...]:
-    """Greedy generators, highest element order first."""
-    orders = group.element_orders()
+def greedy_generators(group: Group, candidates: Iterable[int]) -> tuple[int, ...]:
+    """Generators of the group taken greedily in candidate order: each
+    candidate outside the closure of those taken so far is taken."""
     gens: list[int] = []
     members = frozenset((0,))
-    for g in sorted(range(group.order), key=lambda x: (-orders[x], x)):
+    for g in candidates:
         if g not in members:
             gens.append(g)
             members = closure_of(group, gens)
@@ -307,8 +300,9 @@ def _extend_hom(group: Group, gens: Seq[int],
 
 def _find_automorphisms(group: Group) -> tuple[tuple[int, ...], ...]:
     n = group.order
-    gens = _small_generating_set(group)
+    # highest element order first, so fewer generators need images
     orders = group.element_orders()
+    gens = greedy_generators(group, sorted(range(n), key=lambda x: -orders[x]))
     choices = [[h for h in range(n) if orders[h] == orders[g]] for g in gens]
     found: list[tuple[int, ...]] = []
     if not gens or not _extend_images(group, gens, choices, [], found):
@@ -377,7 +371,7 @@ def quotient_group(group: Group, normal: Subgroup) -> tuple[Group, tuple[int, ..
     table = [[coset_of[group.mul[reps[i]][reps[j]]] for j in range(k)]
              for i in range(k)]
     names = [f"[{group.name(r)}]" for r in reps]
-    q = Group(table, names, spec=f"{group.spec}/N", validate=True)
+    q = Group(table, names, spec=f"{group.spec}/N")
     projection = tuple(coset_of[g] for g in range(group.order))
     return q, projection
 

@@ -19,7 +19,6 @@ from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, SequenceError, ValidationFailure
 from .factor import (
-    AtomSet,
     DavenportReport,
     FactorizationContext,
     davenport,
@@ -76,17 +75,16 @@ class SemigroupDavenport:
 class GroupInvariants:
     """Shared atoms/engine/length memos for one group."""
 
-    def __init__(self, group: Group, atoms: Optional[AtomSet] = None,
-                 engine: Optional[PiEngine] = None):
+    def __init__(self, group: Group, engine: Optional[PiEngine] = None):
         self.group = group
         self.engine = engine or PiEngine(group)
-        self.atoms = atoms or enumerate_atoms(group, engine=self.engine)
+        self.atoms = enumerate_atoms(group, engine=self.engine)
         self.context = FactorizationContext(group, self.atoms, self.engine)
         self._davenport: Optional[DavenportReport] = None
 
     def davenport(self) -> DavenportReport:
         if self._davenport is None:
-            self._davenport = davenport(self.group, engine=self.engine)
+            self._davenport = davenport(self.group, self.engine, self.atoms)
         return self._davenport
 
 
@@ -310,8 +308,7 @@ def delta_set(group: Group, length_bound: int,
 
 
 def omega(group: Group, class_semigroup=None,
-          inv: Optional[GroupInvariants] = None,
-          subset_budget: int = OMEGA_SUBSET_BUDGET) -> OmegaReport:
+          inv: Optional[GroupInvariants] = None) -> OmegaReport:
     """Bracket (and exact value where certified) for the omega invariant.
 
     The lower bound is the largest machine-verified witness: atoms A_1..A_n
@@ -332,7 +329,7 @@ def omega(group: Group, class_semigroup=None,
     best_factors: tuple[Sequence, ...] = ()
     for atom in inv.atoms.atoms:
         factors = _inverse_pair_factors(atom, engine)
-        n = _verified_witness_size(atom, factors, engine, subset_budget)
+        n = _verified_witness_size(atom, factors, engine)
         if n == 0:
             # the trivial witness: the atom divides itself but no empty product
             n, factors = 1, (atom,)
@@ -364,11 +361,11 @@ def _inverse_pair_factors(atom: Sequence, engine: PiEngine) -> tuple[Sequence, .
 
 
 def _verified_witness_size(atom: Sequence, factors: tuple[Sequence, ...],
-                           engine: PiEngine, subset_budget: int) -> int:
+                           engine: PiEngine) -> int:
     """Largest verified n: atom | product(factors) with no proper sub-product
     divisible.  Returns 0 if the full product is not even divisible."""
     n = len(factors)
-    if (1 << n) > subset_budget:
+    if (1 << n) > OMEGA_SUBSET_BUDGET:
         raise BudgetExceededError("too many sub-products to verify")
     group = atom.group
     full = Sequence.empty(group)

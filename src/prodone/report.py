@@ -6,8 +6,9 @@ identical bytes, except for the timing field, which callers strip before
 byte comparisons.  Cache files are named by the hash of (group table,
 computation, parameters, schema version, package sources), so a report
 computed by other code is never served; writers go through a temp file and
-an atomic rename; corrupt entries (unparsable, or with another key set than
-`make_report`'s) and stale ones are evicted.
+an atomic rename; corrupt entries (unparsable, with another key set than
+`make_report`'s, or with parameters, result or provenance not a dict) and
+stale ones are evicted.
 """
 
 from __future__ import annotations
@@ -93,7 +94,9 @@ class ReportCache:
             self._evict(path)
             return None
         if not isinstance(report, dict) or report.keys() != REPORT_KEYS or \
-                report["schema_version"] != SCHEMA_VERSION:
+                report["schema_version"] != SCHEMA_VERSION or \
+                not all(isinstance(report[k], dict)
+                        for k in ("parameters", "result", "provenance")):
             self._evict(path)
             return None
         return report

@@ -85,15 +85,9 @@ class Sequence:
                 m |= 1 << g
         return m
 
-    def multiplicity(self, g: int) -> int:
-        return self.exps[g]
-
     def concat(self, other: "Sequence") -> "Sequence":
         self._same_group(other)
         return Sequence(self.group, tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def __mul__(self, other: "Sequence") -> "Sequence":
-        return self.concat(other)
 
     def remove(self, other: "Sequence") -> "Sequence":
         self._same_group(other)

@@ -6,24 +6,34 @@ no sharing of code paths with the package's dynamic programming.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 from prodone.groups import Group
 from prodone.sequences import Sequence
 
 
 def oracle_pi(seq: Sequence) -> set[int]:
-    """Products over all permutations of the terms (factorial time)."""
-    group = seq.group
-    terms = seq.terms()
-    if not terms:
-        return {0}
-    out = set()
-    for perm in set(permutations(terms)):
-        x = perm[0]
-        for t in perm[1:]:
-            x = group.mul[x][t]
-        out.add(x)
+    """Products over every distinct ordering of the terms (multinomial
+    time): a walk over the remaining multiplicities that visits each
+    ordering once, multiplying one term onto the product of its prefix."""
+    mul = seq.group.mul
+    terms = seq.support()
+    counts = [seq.exps[g] for g in terms]
+    out: set[int] = set()
+
+    def walk(prefix: int, left: int) -> None:
+        if not left:
+            out.add(prefix)
+            return
+        row = mul[prefix]
+        for i, g in enumerate(terms):
+            c = counts[i]
+            if c:
+                counts[i] = c - 1
+                walk(row[g], left - 1)
+                counts[i] = c
+
+    walk(0, len(seq))
     return out
 
 

@@ -73,7 +73,7 @@ def _sub_semigroup_as_group(semi, classes, identity):
     members.insert(0, identity)
     pos = {c: i for i, c in enumerate(members)}
     table = [[pos[semi.op[a][b]] for b in members] for a in members]
-    return Group(table, validate=True)
+    return Group(table)
 
 
 def test_criterion_03_unit_group_and_quotient_copy(groups, engines, class_semigroups):
@@ -104,7 +104,7 @@ def _subgroup_as_group(group, members):
     members = list(members)
     pos = {g: i for i, g in enumerate(members)}
     table = [[pos[group.mul[a][b]] for b in members] for a in members]
-    return Group(table, validate=True)
+    return Group(table)
 
 
 def test_criterion_04_idempotents(groups, class_semigroups):

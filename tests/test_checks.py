@@ -6,7 +6,6 @@ import pytest
 
 from oracles import oracle_is_atom
 from prodone.checks import (
-    divisor_closed_closure,
     krull_witness,
     property_P,
     quotient_group_member_mask,
@@ -139,24 +138,6 @@ def test_krull_root_failure_shape_d6(groups, engines):
     s = Sequence.from_literal(d6, "a,b^2")
     assert not engine.is_product_one(s)
     assert engine.is_product_one(s.repeat(2))
-
-
-def test_divisor_closed_closure_examples(groups, engines):
-    d6 = groups["D6"]
-    engine = engines["D6"]
-    rep = divisor_closed_closure(d6, [Sequence.from_literal(d6, "b^2")],
-                                 engine)
-    assert rep.support == (d6.index_of("b"),)
-    rep = divisor_closed_closure(
-        d6,
-        [Sequence.from_literal(d6, "a^3"), Sequence.from_literal(d6, "b^2")],
-        engine, length_bound=5)
-    assert rep.support == (d6.index_of("a"), d6.index_of("b"))
-    assert rep.checked >= 5
-    rep = divisor_closed_closure(d6, [], engine)
-    assert rep.support == ()
-    with pytest.raises(ValueError):
-        divisor_closed_closure(d6, [Sequence.from_literal(d6, "a")], engine)
 
 
 def test_cofinality(groups, engines):

@@ -7,7 +7,13 @@ import pytest
 
 from prodone.cli import build_parser, main
 from prodone.dot import bottom_node_count
-from prodone.report import SCHEMA_VERSION, ReportCache, cache_key, canonical_json
+from prodone.report import (
+    SCHEMA_VERSION,
+    ReportCache,
+    cache_key,
+    canonical_json,
+    make_report,
+)
 from prodone.groups import parse_group
 
 
@@ -182,6 +188,16 @@ def test_cache_entry_with_other_keys_evicted(capsys, tmp_path):
     assert ReportCache(str(tmp_path)).get(key) is None
     assert not path.exists()
     path.write_text(canonical_json({"schema_version": SCHEMA_VERSION}))
+    assert run(["group", "C3", "--cache-dir", str(tmp_path)]) == 0
+    assert "[cached]" not in capsys.readouterr().out
+    assert json.loads(path.read_text())["result"]["order"] == 3
+
+
+def test_cache_entry_with_wrong_value_types_evicted(capsys, tmp_path):
+    group = parse_group("C3")
+    key = cache_key(group, "group", {})
+    path = tmp_path / f"{key}.json"
+    path.write_text(canonical_json(make_report(group, "group", {}, None, {})))
     assert run(["group", "C3", "--cache-dir", str(tmp_path)]) == 0
     assert "[cached]" not in capsys.readouterr().out
     assert json.loads(path.read_text())["result"]["order"] == 3

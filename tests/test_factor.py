@@ -68,6 +68,8 @@ def test_atom_support_restriction(groups, engines):
     assert all(set(a.support()) <= set(sup) for a in atoms.atoms)
     # the restricted monoid is that of the cyclic subgroup generated by I
     assert atoms.max_length == 4
+    with pytest.raises(ValueError):
+        davenport(q8, atoms=atoms)
 
 
 def test_davenport_fixture_values(groups, engines):

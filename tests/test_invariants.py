@@ -20,6 +20,20 @@ from prodone.invariants import (
 from prodone.sequences import Sequence
 
 
+def test_session_davenport_reuses_the_session_atoms(groups, engines,
+                                                    monkeypatch):
+    import prodone.factor
+    d6 = groups["D6"]
+    inv = GroupInvariants(d6, engines["D6"])
+    calls = []
+    enumerate_atoms = prodone.factor.enumerate_atoms
+    monkeypatch.setattr(prodone.factor, "enumerate_atoms",
+                        lambda *a, **k: calls.append(a) or enumerate_atoms(*a, **k))
+    rep = inv.davenport()
+    assert calls == []
+    assert rep == davenport(d6)
+
+
 def test_union_k1_is_singleton(groups, invariants_ctx):
     for spec in ("C3", "D6", "Q8"):
         rep = unions_of_lengths(groups[spec], 1, invariants_ctx[spec])
