@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from .errors import ValidationFailure
 from .factor import (
     FactorizationContext,
     canonical_atoms,
@@ -199,7 +200,8 @@ def krull_witness(group: Group, length_bound: int = 6,
         group.mul[group.mul[g][group.inv[h]]][group.inv[g]],
     ])
     if not is_atom(obstruction, engine):
-        raise AssertionError("non-commuting obstruction sequence must be an atom")
+        raise ValidationFailure(
+            "non-commuting obstruction sequence must be an atom")
     witness = _root_closure_witness(group, engine, length_bound)
     wit_dict = {
         "obstruction_atom": obstruction,

@@ -2,8 +2,11 @@
 
 A sequence is a multiset of group elements stored as an exponent vector.
 The central computation is pi(S): the set of all products of the terms of S
-over every ordering, realized by dynamic programming over sub-multisets
-(P(M) = union over g in supp(M) of P(M - g) * g) with memoization on packed
+over every ordering.  A central term commutes with every other, so
+pi(S) = pi(S_nc) * z, where S_nc is S without its central terms and z is
+their product; the identity is central, and on an abelian group S_nc is
+empty.  pi(S_nc) comes from dynamic programming over the sub-multisets of
+S_nc (P(M) = union over g in supp(M) of P(M - g) * g), memoized on packed
 exponent vectors.  All product sets are bitmasks over the group.
 """
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError, SequenceError
-from .groups import Group
+from .groups import Group, center_of
 
 DEFAULT_MEMO_CAP = 1 << 24
 
@@ -177,9 +180,11 @@ class ProductSet:
 class PiEngine:
     """Memoized product-set computations for one group.
 
-    The memo is keyed by the packed exponent vector; one engine per top-level
-    computation keeps memory bounded and results reproducible.  The atom
-    memo holds only keys already in the pi memo, so `memo_cap` bounds both.
+    The memo is keyed by the packed exponent vector.  It holds every queried
+    key and the sub-multisets of its non-central part that the DP visits;
+    one engine per top-level computation keeps memory bounded and results
+    reproducible.  The atom memo holds only keys already in the pi memo, so
+    `memo_cap` bounds both.
     """
 
     def __init__(self, group: Group, memo_cap: int = DEFAULT_MEMO_CAP):
@@ -187,19 +192,29 @@ class PiEngine:
         self.memo_cap = memo_cap
         self._memo: dict[bytes, int] = {bytes(group.order): 1 << 0}
         self._atoms: dict[bytes, bool] = {}
+        self._central = center_of(group).members
 
     def memo_size(self) -> int:
         return len(self._memo)
 
     def pi_mask(self, exps) -> int:
-        """Bitmask of all ordered products of the multiset `exps`."""
+        """Bitmask of all ordered products of the multiset `exps`: the DP
+        over its non-central terms, times the product z of its central ones."""
         key = bytes(exps)
         memo = self._memo
         got = memo.get(key)
         if got is not None:
             return got
-        mul_mask = self.group.mul_mask
-        stack = [bytearray(key)]
+        group = self.group
+        mul, mul_mask = group.mul, group.mul_mask
+        nc = bytearray(key)
+        z = 0
+        for g in self._central:
+            for _ in range(nc[g]):
+                z = mul[z][g]
+            nc[g] = 0
+        nc_key = bytes(nc)
+        stack = [nc]
         while stack:
             cur = stack[-1]
             ck = bytes(cur)
@@ -225,7 +240,15 @@ class PiEngine:
                         f"product-set memo exceeded cap {self.memo_cap}")
                 memo[ck] = mask
                 stack.pop()
-        return memo[key]
+        got = memo[nc_key]
+        if nc_key != key:
+            if z:
+                got = mul_mask(got, z)
+            if len(memo) >= self.memo_cap:
+                raise ResourceLimitError(
+                    f"product-set memo exceeded cap {self.memo_cap}")
+            memo[key] = got
+        return got
 
     def pi(self, seq: Sequence) -> ProductSet:
         return ProductSet(self.group, self.pi_mask(seq.exps))

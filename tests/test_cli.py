@@ -43,6 +43,13 @@ def test_check_command(capsys, tmp_path):
     assert "holds: True" in out
 
 
+def test_krull_self_check_failure_is_a_computation_error(capsys, monkeypatch):
+    from prodone import checks
+    monkeypatch.setattr(checks, "is_atom", lambda seq, engine=None: False)
+    assert run(["check", "D8", "--property", "krull", "--no-cache"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_lengths_command(capsys):
     code = run(["lengths", "C3", "--seq", "g^3,g2^3", "--count", "--no-cache"])
     out = capsys.readouterr().out

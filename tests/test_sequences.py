@@ -7,7 +7,7 @@ import pytest
 
 from oracles import oracle_atoms, oracle_pi, oracle_subsequence_products
 from prodone.errors import ResourceLimitError, SequenceError
-from prodone.groups import parse_group
+from prodone.groups import center_of, parse_group
 from prodone.sequences import (
     PiEngine,
     Sequence,
@@ -68,7 +68,9 @@ def test_product_one_predicates(groups):
 
 
 def test_pi_matches_oracle_exhaustive_small(groups, engines):
-    for spec in ("C4", "D6"):
+    # C4 is abelian, D6 has a trivial center, D8 and Q8 have a center of
+    # order 2: every mix of identity, central and non-central terms occurs
+    for spec in ("C4", "D6", "D8", "Q8"):
         group = groups[spec]
         engine = engines[spec]
         for exps in iter_multisets(group.order, 4):
@@ -168,6 +170,36 @@ def test_resource_cap_is_a_hard_error(groups):
     big = Sequence.from_terms(q8, [g for g in range(8) for _ in range(6)])
     with pytest.raises(ResourceLimitError):
         product_set(big, memo_cap=1000)
+
+
+def test_engine_memo_cap_and_central_split(groups):
+    q8, c6, d8 = groups["Q8"], groups["C6"], groups["D8"]
+    # the non-central part of `big` alone has 7^6 sub-multisets
+    big = bytes([6] * 8)
+    with pytest.raises(ResourceLimitError):
+        PiEngine(q8, memo_cap=1000).pi_mask(big)
+
+    # abelian: every term is central, so the memo gains only the query
+    engine = PiEngine(c6)
+    key = bytes([5] * 6)
+    z = 0
+    for g in range(6):
+        for _ in range(5):
+            z = c6.mul[z][g]
+    assert engine.pi_mask(key) == 1 << z
+    assert engine.memo_size() <= 2
+
+    # D8: pi(S_nc + central terms) = pi(S_nc) * z, one new memo entry
+    central = sorted(center_of(d8).members)
+    assert len(central) == 2 and central[0] == 0
+    r = central[1]
+    engine = PiEngine(d8)
+    s_nc = Sequence.from_terms(d8, [g for g in range(8) if g not in central] * 2)
+    pi_nc = engine.pi_mask(s_nc.exps)
+    before = engine.memo_size()
+    s = s_nc.concat(Sequence.from_terms(d8, [0, 0, r, r, r]))
+    assert engine.pi_mask(s.exps) == d8.mul_mask(pi_nc, r)
+    assert engine.memo_size() == before + 1
 
 
 def test_engine_memo_is_deterministic(groups):
