@@ -7,12 +7,16 @@ groups or an exhausted complete search; anything else is reported as unknown
 up to the bound actually searched.
 
 The two-atom splitting scan walks the atoms of `factor.canonical_atoms`
-(see `factor` for the atom test and the orbit reduction) and tests their
-splits: a sequence is a product of two atoms when some split (T, B - T) from
-`sequences.pivot_splits` has two atom parts.  Whether an atom has a split
-needing three atoms is invariant under Aut(G), and the first counterexample
-of the full scan is the least of its orbit, so the witness is the one the
-unreduced scan finds.
+(see `factor` for the atom test, the split-generated scan and the orbit
+reduction) and tests their splits: a sequence is a product of two atoms when
+some split (T, B - T) from `sequences.pivot_splits` has two atom parts.  The
+scan yields the canonical atoms in the order of a full scan of all
+multisets, by length and then lexicographically, and whether an atom has a
+split needing three atoms is invariant under Aut(G).  So the first
+counterexample of the full scan is the least of its orbit, and it is the
+first atom with a bad split met here too: the witness is the one the
+unreduced exhaustive scan finds.  The scan stops at the first length without
+an atom; the budget counts the distinct splits it forms to find the atoms.
 
 Membership of a sequence S in the quotient group of the product-one monoid
 is decided by a coset test: S belongs to it exactly when every product of S
@@ -78,8 +82,9 @@ def property_P(group: Group, engine: Optional[PiEngine] = None,
                budget: int = PROPERTY_P_BUDGET) -> Verdict:
     """Split one term of an atom into two factors; the result must factor
     into at most two atoms.  Scans atoms by increasing length and stops at
-    the first counterexample.  Candidates that are not the first of their
-    Aut(G)-orbit are skipped but still count against the budget."""
+    the first counterexample.  Every distinct split the atom scan forms
+    counts against the budget, the ones that are not the least of their
+    Aut(G)-orbit included."""
     engine = engine or PiEngine(group)
     n = group.order
     cap = max_len if max_len is not None else n

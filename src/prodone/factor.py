@@ -1,18 +1,30 @@
 """Atoms, Davenport constants, divisibility, and sets of lengths.
 
 An atom is a non-empty product-one sequence that does not split into two
-non-empty product-one sub-multisets.  Enumeration is by multiset length; for
-abelian groups atoms are produced directly from product-one-free sequences
-(append the inverse of the sum), which is exact and much faster.
+non-empty product-one sub-multisets.  The atom test is `PiEngine.is_atom`,
+memoised per engine.  It and every other split test here go through
+`sequences.pivot_splits`, which yields only the splits (T, B - T) whose part
+T holds the pivot of B (its lowest term).  That loses nothing: every
+unordered split of B has a part holding the pivot.
 
-The atom test is `PiEngine.is_atom`, memoised per engine.  It and every
-other split test here go through `sequences.pivot_splits`, which yields only
-the splits (T, B - T) whose part T holds the pivot of B (its lowest term).
-That loses nothing: every unordered split of B has a part holding the pivot.
-The one generic atom scan, `canonical_atoms`, is orbit-reduced: automorphisms
-of G that fix the support set map atoms to atoms, so only the first multiset
-of each orbit in scan order (the lexicographically least) is tested.  The
-generic enumeration expands each atom it yields to its whole orbit;
+Atoms grow from atoms.  Let S = s_1...s_l (l >= 2) be an atom over a group
+H with s_1...s_l = 1, and merge its last two terms into t = s_{l-1}s_l in H.
+The result A is product-one, and an atom: if A = UV with U, V non-empty and
+product-one, say t in U, then s_{l-1}, s_l in place of t in a product-one
+ordering of U make U - t + s_{l-1} + s_l product-one, and S would split.  So
+every atom of length l is a split A - t + h + h^{-1}t (t a term of A, h in
+H) of an atom A of length l - 1.  The one atom scan, `canonical_atoms`,
+builds the atoms level by level from the identity and stops at the first
+length without an atom: a longer atom would merge down to one of that
+length.  The merged term may leave a support set that is not a subgroup, so
+atoms over a support grow over the subgroup H it generates and are kept when
+their support lies in the set.
+
+The scan is orbit-reduced: the automorphisms of G that fix the support set
+fix H and map atoms and splits to atoms and splits, so each level keeps the
+least (lexicographically) member of each orbit, and the splits of those reach
+every orbit of the next level.  The budget counts the distinct splits formed.
+The enumeration expands each canonical atom to its whole orbit;
 `checks.property_P` tests the splits of each one.
 """
 
@@ -27,12 +39,11 @@ from .groups import Group, closure_of
 from .sequences import (
     PiEngine,
     Sequence,
-    iter_multisets_exact,
     pivot,
     pivot_splits,
 )
 
-ATOM_ENUM_BUDGET = 5_000_000  # candidate multisets across all lengths
+ATOM_ENUM_BUDGET = 5_000_000  # distinct splits across all lengths
 
 
 @dataclass(frozen=True)
@@ -75,13 +86,13 @@ def is_atom(seq: Sequence, engine: Optional[PiEngine] = None) -> bool:
 
 
 def orbit_getters(group: Group, sup: tuple[int, ...]) -> list[itemgetter]:
-    """One getter per non-trivial permutation of the support slots that an
-    automorphism fixing the support set induces; applied to an exponent
-    tuple over the support, it returns the tuple of an image multiset."""
-    slot = {g: i for i, g in enumerate(sup)}
-    perms = {tuple(slot[aut[g]] for g in sup)
-             for aut in group.automorphisms() if all(aut[g] in slot for g in sup)}
-    perms.discard(tuple(range(len(sup))))
+    """One getter per automorphism other than the identity that fixes the
+    support set; applied to an exponent vector over G, it returns the tuple
+    of an image multiset."""
+    inside = set(sup)
+    perms = {aut for aut in group.automorphisms()
+             if all(aut[g] in inside for g in sup)}
+    perms.discard(tuple(range(group.order)))
     return [itemgetter(*p) for p in sorted(perms)]
 
 
@@ -126,84 +137,67 @@ def _free_frontier(group: Group, support: tuple[int, ...],
 def enumerate_atoms(group: Group, support: Optional[Iterable[int]] = None,
                     engine: Optional[PiEngine] = None,
                     budget: int = ATOM_ENUM_BUDGET) -> AtomSet:
-    """All atoms over the support set (default: the whole group)."""
+    """All atoms over the support set (default: the whole group), by length,
+    then lexicographically."""
     engine = engine or PiEngine(group)
     sup = _support_indices(group, support)
-    if all(group.mul[a][b] == group.mul[b][a] for a in sup for b in sup):
-        atoms = _enumerate_atoms_abelian_support(group, sup, engine)
-    else:
-        atoms = _enumerate_atoms_generic(group, sup, engine, budget)
+    getters = orbit_getters(group, sup)
+    atoms = [Sequence(group, image)
+             for exps in canonical_atoms(group, sup, engine, budget,
+                                         group.order)
+             for image in {exps, *(get(exps) for get in getters)}]
     atoms.sort(key=lambda s: (s.length, s.exps))
     max_len = max((a.length for a in atoms), default=0)
     return AtomSet(group, sup, tuple(atoms), max_len)
-
-
-def _enumerate_atoms_abelian_support(group: Group, sup: tuple[int, ...],
-                                     engine: PiEngine) -> list[Sequence]:
-    # over a commuting support, atoms are exactly (free S) * inverse(sum(S))
-    levels = _free_frontier(group, sup, engine)
-    seen: set[bytes] = set()
-    atoms: list[Sequence] = []
-    for level in levels:
-        for exps, _ in level:
-            prod = 0
-            for g, e in enumerate(exps):
-                if e:
-                    for _ in range(e):
-                        prod = group.mul[prod][g]
-            g0 = group.inv[prod]
-            if g0 not in sup:
-                continue
-            ext = bytearray(exps)
-            ext[g0] += 1
-            key = bytes(ext)
-            if key not in seen:
-                seen.add(key)
-                atoms.append(Sequence(group, tuple(key)))
-    return atoms
-
-
-def _enumerate_atoms_generic(group: Group, sup: tuple[int, ...],
-                             engine: PiEngine, budget: int) -> list[Sequence]:
-    getters = orbit_getters(group, sup)
-    max_len = len(closure_of(group, sup))
-    return [Sequence(group, _unpack(group, sup, image))
-            for packed in canonical_atoms(group, sup, engine, budget, max_len)
-            for image in {packed, *(get(packed) for get in getters)}]
 
 
 def canonical_atoms(group: Group, sup: tuple[int, ...], engine: PiEngine,
                     budget: int, max_len: int) -> Iterator[tuple[int, ...]]:
     """The atoms over the support of length <= max_len that are the least of
     their orbit under the automorphisms fixing the support set, as exponent
-    tuples over the support slots, in scan order (by length, then
-    lexicographically).  Every multiset scanned counts against the budget,
-    the skipped non-least ones included."""
+    tuples over G, by length, then lexicographically.  Level l holds those of
+    length l over H = <sup>, found among the splits of level l - 1; the scan
+    stops at the first empty level, or at length |H| >= D(H).  Every distinct
+    split counts against the budget, the ones least of no orbit included."""
+    n = group.order
+    mul, inv = group.mul, group.inv
     getters = orbit_getters(group, sup)
-    pi = engine.pi_mask
+    span = sorted(closure_of(group, sup))
+    outside = [g for g in range(n) if g not in sup]
+    max_len = min(max_len, len(span))
+    level = [(1,) + (0,) * (n - 1)]  # the identity, the one atom of length 1
     candidates = 0
     for length in range(1, max_len + 1):
-        for packed in iter_multisets_exact(len(sup), length):
-            candidates += 1
-            if candidates > budget:
-                raise BudgetExceededError(
-                    f"atom scan exceeded {budget} candidates at length "
-                    f"{length} of {max_len}")
-            if any(get(packed) < packed for get in getters):
-                continue  # an earlier multiset of the same orbit stands for it
-            key = bytes(_unpack(group, sup, packed))
-            # testing pi first keeps the atom memo to product-one candidates
-            if pi(key) & 1 and engine.is_atom(key):
-                yield packed
-
-
-def _unpack(group: Group, sup: tuple[int, ...],
-            packed: tuple[int, ...]) -> tuple[int, ...]:
-    """The exponent tuple over G of a tuple over the support slots."""
-    exps = [0] * group.order
-    for slot, e in enumerate(packed):
-        exps[sup[slot]] = e
-    return tuple(exps)
+        if length > 1:
+            seen: set[bytes] = set()
+            found: dict[tuple[int, ...], bool] = {}
+            for atom in level:
+                for t, e in enumerate(atom):
+                    if not e:
+                        continue
+                    for h in span:
+                        split = bytearray(atom)
+                        split[t] -= 1
+                        split[h] += 1
+                        split[mul[inv[h]][t]] += 1
+                        key = bytes(split)
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        candidates += 1
+                        if candidates > budget:
+                            raise BudgetExceededError(
+                                f"atom scan exceeded {budget} candidates at "
+                                f"length {length} of {max_len}")
+                        least = min([tuple(key), *(get(key) for get in getters)])
+                        if least not in found:
+                            found[least] = engine.is_atom(bytes(least))
+            level = sorted(k for k, ok in found.items() if ok)
+            if not level:
+                return
+        for atom in level:
+            if not any(atom[g] for g in outside):
+                yield atom
 
 
 def small_davenport(group: Group, engine: Optional[PiEngine] = None) -> int:

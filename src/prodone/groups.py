@@ -154,34 +154,34 @@ class Group:
 
     # -- bitmask machinery ---------------------------------------------------
 
-    def _ensure_byte_tables(self) -> list[list[list[int]]]:
-        if self._byte_tables is None:
-            n = self.order
-            nbytes = (n + 7) // 8
-            tables = []
-            for g in range(n):
-                per_g = []
-                for bpos in range(nbytes):
-                    row = [0] * 256
-                    base = bpos * 8
-                    for bv in range(256):
-                        m = 0
-                        v = bv
-                        while v:
-                            low = v & -v
-                            h = base + low.bit_length() - 1
-                            if h < n:
-                                m |= 1 << self.mul[h][g]
-                            v ^= low
-                        row[bv] = m
-                    per_g.append(row)
-                tables.append(per_g)
-            self._byte_tables = tables
-        return self._byte_tables
+    def _build_byte_tables(self) -> list[list[list[int]]]:
+        n = self.order
+        nbytes = (n + 7) // 8
+        tables = []
+        for g in range(n):
+            per_g = []
+            for bpos in range(nbytes):
+                row = [0] * 256
+                base = bpos * 8
+                for bv in range(256):
+                    m = 0
+                    v = bv
+                    while v:
+                        low = v & -v
+                        h = base + low.bit_length() - 1
+                        if h < n:
+                            m |= 1 << self.mul[h][g]
+                        v ^= low
+                    row[bv] = m
+                per_g.append(row)
+            tables.append(per_g)
+        self._byte_tables = tables
+        return tables
 
     def mul_mask(self, mask: int, g: int) -> int:
-        """{h*g : h in mask} as a bitmask."""
-        tables = self._ensure_byte_tables()[g]
+        """{h*g : h in mask} as a bitmask.  The byte tables are built at the
+        first call, so parsing a group does not pay for them."""
+        tables = (self._byte_tables or self._build_byte_tables())[g]
         out = 0
         bpos = 0
         while mask:

@@ -1,15 +1,18 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here works by explicit enumeration of orderings and splits, with
-no sharing of code paths with the package's dynamic programming.
+no sharing of code paths with the package's dynamic programming, except
+`lexicographic_atoms`: it keeps the package's atom test and orbit reduction
+and checks only how the atom scan finds its candidates.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from prodone.groups import Group
-from prodone.sequences import Sequence
+from prodone.factor import orbit_getters
+from prodone.groups import Group, closure_of
+from prodone.sequences import PiEngine, Sequence, iter_multisets_exact
 
 
 def oracle_pi(seq: Sequence) -> set[int]:
@@ -90,6 +93,30 @@ def oracle_atoms(group: Group, max_len: int) -> list[Sequence]:
         if oracle_is_atom(seq):
             out.append(seq)
     return out
+
+
+def lexicographic_atoms(group: Group, support=None) -> list[Sequence]:
+    """The atoms over the support by the exhaustive scan: every multiset
+    over the support of each length up to |<support>|, in lexicographic
+    order.  Only the least multiset of each orbit under the automorphisms
+    fixing the support set is tested with `PiEngine.is_atom`, and each atom
+    found is expanded to its orbit.  By length, then lexicographically."""
+    sup = sorted(set(range(group.order) if support is None else support))
+    getters = orbit_getters(group, tuple(sup))
+    engine = PiEngine(group)
+    out: set[tuple[int, ...]] = set()
+    for length in range(1, len(closure_of(group, sup)) + 1):
+        for packed in iter_multisets_exact(len(sup), length):
+            exps = [0] * group.order
+            for slot, e in zip(sup, packed):
+                exps[slot] = e
+            exps = tuple(exps)
+            if any(get(exps) < exps for get in getters):
+                continue
+            if engine.is_atom(bytes(exps)):
+                out.update((exps, *(get(exps) for get in getters)))
+    return [Sequence(group, exps)
+            for exps in sorted(out, key=lambda e: (sum(e), e))]
 
 
 def oracle_lengths(seq: Sequence) -> set[int]:

@@ -59,12 +59,14 @@ def test_property_p_d14_witness_is_first_of_full_scan():
 
 def test_property_p_budget_counts_skipped_candidates(groups, unreduce):
     d8 = groups["D8"]
-    for switch in (lambda: None, unreduce):
+    # distinct splits of the canonical atoms of lengths 1 to 6 (no split of
+    # length 7 is an atom, which ends the scan); without the orbit
+    # reduction every atom is split
+    for switch, candidates in ((lambda: None, 199), (unreduce, 393)):
         switch()
-        # multisets of length 1 to 8 over 8 elements: C(16, 8) - 1 = 12869
-        assert property_P(d8, budget=12869).holds is True
+        assert property_P(d8, budget=candidates).holds is True
         with pytest.raises(BudgetExceededError):
-            property_P(d8, budget=12868)
+            property_P(d8, budget=candidates - 1)
 
 
 def test_property_p_over_the_automorphism_cap_is_unreduced(unreduce):

@@ -29,6 +29,15 @@ def test_davenport_stdout(capsys, tmp_path):
     assert "large: 6" in out
 
 
+def test_davenport_d14_json(capsys, tmp_path):
+    """D14 is in reach of the split-generated atom scan: D = d + |G'|."""
+    path = tmp_path / "d14.json"
+    assert run(["davenport", "D14", "--no-cache", "--json", str(path)]) == 0
+    capsys.readouterr()
+    result = json.loads(path.read_text())["result"]
+    assert (result["small"], result["large"]) == (7, 14)
+
+
 def test_group_command(capsys, tmp_path):
     code = run(["group", "Q8", "--no-cache"])
     out = capsys.readouterr().out

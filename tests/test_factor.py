@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import oracle_atoms, oracle_lengths
+from oracles import lexicographic_atoms, oracle_atoms, oracle_lengths
 from prodone.checks import _two_atom_bound_ok
 from prodone.errors import BudgetExceededError, SequenceError
 from prodone.factor import (
@@ -18,7 +18,7 @@ from prodone.factor import (
     orbit_getters,
     small_davenport,
 )
-from prodone.groups import parse_group
+from prodone.groups import analyze, parse_group
 from prodone.sequences import Sequence, iter_multisets
 
 
@@ -252,6 +252,46 @@ def test_orbit_reduced_atoms_match_unreduced_scan(unreduce, spec, names):
     assert _atoms(group, support) == reduced
 
 
+@pytest.mark.parametrize("reduced", [True, False])
+@pytest.mark.parametrize("spec,names", [
+    ("C6", None), ("C2xC4", None), ("C2xC2xC2", None), ("D6", None),
+    ("D8", None), ("Q8", None), ("D10", None),
+    ("D8", ("a", "a3", "b", "a2b")),
+    ("Q8", ("I", "J", "-I", "-J")),
+    ("Q8", ("E", "I", "K", "-E", "-K")),
+])
+def test_split_scan_matches_lexicographic_scan(unreduce, spec, names, reduced):
+    """Atoms grow from atoms: the split-generated scan finds exactly the
+    atoms of the exhaustive scan, in the same order."""
+    group = parse_group(spec)
+    support = None if names is None else [group.index_of(x) for x in names]
+    if not reduced:
+        unreduce()
+    got = [a.exps for a in enumerate_atoms(group, support).atoms]
+    assert got == [a.exps for a in lexicographic_atoms(group, support)]
+
+
+@pytest.mark.parametrize("spec", ["D6", "Q8"])
+def test_short_atoms_match_brute_force_oracle(groups, spec):
+    group = groups[spec]
+    got = [a.exps for a in enumerate_atoms(group).atoms if a.length <= 5]
+    assert got == [a.exps for a in oracle_atoms(group, 5)]
+
+
+@pytest.mark.parametrize("spec,atoms,large", [
+    ("D12", 914, 9), ("C2xD6", 914, 9), ("D16", None, 12),
+])
+def test_split_scan_reach(spec, atoms, large):
+    """D(G) = d(G) + |G'| on groups with a cyclic subgroup of index 2
+    (Geroldinger and Grynkiewicz, The large Davenport constant I)."""
+    group = parse_group(spec)
+    atom_set = enumerate_atoms(group)
+    rep = davenport(group, atoms=atom_set)
+    assert atoms is None or len(atom_set) == atoms
+    assert rep.large == large
+    assert rep.large == rep.small + analyze(group).commutator.order
+
+
 def test_orbit_getters_fix_the_support(groups):
     d8 = groups["D8"]
     assert len(orbit_getters(d8, tuple(range(8)))) == 7
@@ -264,12 +304,14 @@ def test_orbit_getters_fix_the_support(groups):
 
 def test_atom_enumeration_budget_counts_skipped_candidates(groups, unreduce):
     q8 = groups["Q8"]
-    for switch in (lambda: None, unreduce):
+    # distinct splits of the canonical atoms of lengths 1 to 6 (no split of
+    # length 7 is an atom, which ends the scan); without the orbit
+    # reduction every atom is split
+    for switch, candidates in ((lambda: None, 145), (unreduce, 600)):
         switch()
-        # multisets of length 1 to 8 over 8 elements: C(16, 8) - 1 = 12869
-        assert len(_atoms(q8, budget=12869)[2]) == 120
+        assert len(_atoms(q8, budget=candidates)[2]) == 120
         with pytest.raises(BudgetExceededError):
-            _atoms(q8, budget=12868)
+            _atoms(q8, budget=candidates - 1)
 
 
 def test_count_factorizations_leaves_no_reference_cycles(groups, invariants_ctx):
