@@ -3,18 +3,19 @@
 Every subcommand prints a human-readable summary to stdout and optionally
 writes the full JSON report (--json) or a DOT lattice diagram (--dot).
 Exit codes: 0 success, 1 computation error, 2 usage error.
+
+Each computation helper imports the modules it calls when it runs, so a
+call loads only what its subcommand needs and a cache hit loads none of
+the computation modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
 
-from . import checks as checks_mod
-from . import classsemi, dot, invariants
 from .errors import (
     BudgetExceededError,
     GroupSpecError,
@@ -23,11 +24,8 @@ from .errors import (
     SequenceError,
     ValidationFailure,
 )
-from .factor import davenport, enumerate_atoms
 from .groups import Group, abelian_group_name, analyze, parse_group
-from .invariants import GroupInvariants
 from .report import ReportCache, cached_report, canonical_json
-from .sequences import Sequence
 
 COMPUTATION_ERRORS = (
     GroupSpecError, GroupValidationError, SequenceError, ResourceLimitError,
@@ -131,6 +129,7 @@ def _group_result(group: Group) -> tuple[dict, dict]:
 
 
 def _atoms_result(group: Group) -> tuple[dict, dict]:
+    from .factor import enumerate_atoms
     atom_set = enumerate_atoms(group)
     by_len: dict[int, int] = {}
     for a in atom_set.atoms:
@@ -145,6 +144,7 @@ def _atoms_result(group: Group) -> tuple[dict, dict]:
 
 
 def _davenport_result(group: Group) -> tuple[dict, dict]:
+    from .factor import davenport
     rep = davenport(group)
     result = {
         "small": rep.small,
@@ -156,6 +156,8 @@ def _davenport_result(group: Group) -> tuple[dict, dict]:
 
 
 def _lengths_result(group: Group, literal: str, count: bool) -> tuple[dict, dict]:
+    from .invariants import GroupInvariants
+    from .sequences import Sequence
     inv = GroupInvariants(group)
     seq = Sequence.from_literal(group, literal)
     ls = inv.context.lengths(seq)
@@ -170,6 +172,7 @@ def _lengths_result(group: Group, literal: str, count: bool) -> tuple[dict, dict
 
 
 def _class_semigroup_result(group: Group, seed: int) -> tuple[dict, dict]:
+    from . import classsemi
     semi = classsemi.build(group, seed=seed)
     idem = classsemi.idempotent_structure(semi)
     uq = classsemi.unit_and_quotient_subgroups(semi)
@@ -199,6 +202,7 @@ def _class_semigroup_result(group: Group, seed: int) -> tuple[dict, dict]:
 
 
 def _unions_result(group: Group, k: int) -> tuple[dict, dict]:
+    from . import invariants
     rep = invariants.unions_of_lengths(group, k)
     result = {
         "k": rep.k,
@@ -211,14 +215,16 @@ def _unions_result(group: Group, k: int) -> tuple[dict, dict]:
 
 
 def _delta_result(group: Group, bound: int) -> tuple[dict, dict]:
-    inv = GroupInvariants(group)
+    from . import invariants
+    inv = invariants.GroupInvariants(group)
     omega_exact = None
     pp_holds = None
     if group.is_abelian and group.order <= 12:
+        from .checks import property_P
         omega_rep = invariants.omega(group, inv=inv)
         if omega_rep.exact:
             omega_exact = omega_rep.lower
-        pp_holds = checks_mod.property_P(group, engine=inv.engine).holds
+        pp_holds = property_P(group, engine=inv.engine).holds
     rep = invariants.delta_set(group, bound, inv=inv,
                                omega_exact=omega_exact,
                                property_p_holds=pp_holds)
@@ -231,7 +237,8 @@ def _delta_result(group: Group, bound: int) -> tuple[dict, dict]:
 
 
 def _semigroup_davenport_from_op(op) -> dict:
-    sd = invariants.semigroup_davenport(op)
+    from .invariants import semigroup_davenport
+    sd = semigroup_davenport(op)
     return {
         "small": sd.small,
         "large": sd.large,
@@ -241,11 +248,12 @@ def _semigroup_davenport_from_op(op) -> dict:
 
 
 def _omega_result(group: Group, seed: int) -> tuple[dict, dict]:
-    inv = GroupInvariants(group)
+    from .invariants import omega
     semi = None
     if not group.is_abelian:
-        semi = classsemi.build(group, seed=seed)
-    rep = invariants.omega(group, class_semigroup=semi, inv=inv)
+        from .classsemi import build
+        semi = build(group, seed=seed)
+    rep = omega(group, class_semigroup=semi)
     result = {
         "lower": rep.lower,
         "upper": rep.upper,
@@ -258,12 +266,13 @@ def _omega_result(group: Group, seed: int) -> tuple[dict, dict]:
 
 
 def _check_result(group: Group, prop: str, bound: Optional[int]) -> tuple[dict, dict]:
+    from . import checks
     if prop == "p":
-        verdict = checks_mod.property_P(group, max_len=bound)
+        verdict = checks.property_P(group, max_len=bound)
     elif prop == "seminormal":
-        verdict = checks_mod.seminormality(group, 6 if bound is None else bound)
+        verdict = checks.seminormality(group, 6 if bound is None else bound)
     else:
-        verdict = checks_mod.krull_witness(group, 6 if bound is None else bound)
+        verdict = checks.krull_witness(group, 6 if bound is None else bound)
     d = verdict.as_dict()
     return d, {"exact": verdict.holds is not None, "bound": verdict.bound}
 
@@ -281,14 +290,15 @@ def _emit(report: dict, args, hit: bool) -> None:
             fh.write(canonical_json(report))
         print(f"json report written to {args.json}")
     if getattr(args, "dot", None):
-        text = dot.lattice_dot_from_result(result)
+        from .dot import lattice_dot_from_result
+        text = lattice_dot_from_result(result)
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"dot lattice written to {args.dot}")
 
 
 def _print_result(result: dict, indent: str = "  ") -> None:
-    for key, value in result.items():
+    for key, value in sorted(result.items()):
         if key == "op":
             print(f"{indent}op: {len(value)}x{len(value)} table (see JSON report)")
             continue
@@ -320,6 +330,7 @@ def _run_single(args) -> int:
         params = {}
         compute = lambda: _davenport_result(group)
     elif command == "lengths":
+        from .sequences import Sequence
         params = {"seq": str(Sequence.from_literal(group, args.seq)),
                   "count": bool(args.count)}
         compute = lambda: _lengths_result(group, args.seq, args.count)

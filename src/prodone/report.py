@@ -124,8 +124,7 @@ class ReportCache:
 
 def cached_report(cache: ReportCache, group: Group, computation: str,
                   parameters: dict,
-                  compute: Callable[[], tuple[Any, dict]],
-                  timing_ms: Optional[float] = None) -> tuple[dict, bool]:
+                  compute: Callable[[], tuple[Any, dict]]) -> tuple[dict, bool]:
     """Fetch a report from the cache or compute and store it.
 
     Returns (report, was_cache_hit).

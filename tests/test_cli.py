@@ -176,6 +176,17 @@ def test_cache_hit_and_byte_stability(capsys, tmp_path):
     assert canonical_json(r1) == canonical_json(r2)
 
 
+@pytest.mark.parametrize("argv", [["group", "D8"], ["davenport", "C6"]])
+def test_cache_hit_prints_the_same_summary(argv, capsys, tmp_path):
+    """A hit prints the fresh summary, keys in the same sorted order."""
+    fresh, cached = [], []
+    for out in (fresh, cached):
+        assert run([*argv, "--cache-dir", str(tmp_path)]) == 0
+        out.extend(capsys.readouterr().out.splitlines())
+    assert cached[0] == fresh[0] + "   [cached]"
+    assert cached[1:] == fresh[1:]
+
+
 def test_cache_schema_version_miss(tmp_path):
     group = parse_group("C3")
     cache = ReportCache(str(tmp_path))
