@@ -1,16 +1,20 @@
-"""Atoms and Davenport constants of D18 and D20, beyond the tier-1 tests.
+"""Atoms and Davenport constants of D18 and D20, and the full two-atom
+splitting scan of D18, beyond the tier-1 tests.
 
-Each group runs in a fresh child process: ``factor.enumerate_atoms`` (the
+Each row runs in a fresh child process: ``factor.enumerate_atoms`` (the
 split-generated atom scan) and ``factor.davenport`` on the atom set, which
-also finds d(G) and checks its witness.  D12, C2xD6, D14 and D16 are tier-1
-tests in ``tests/test_factor.py`` and ``tests/test_cli.py``.
+also finds d(G) and checks its witness, for D18 and D20; and
+``checks.property_P`` over all of D18 (row ``P D18``: verdict, bound and
+witness split).  D12, C2xD6, D14 and D16 are tier-1 tests in
+``tests/test_factor.py`` and ``tests/test_cli.py``, and the P scan of D14
+is pinned in ``tests/test_checks.py``.
 
     PYTHONPATH=src python3 scripts/atom_reach.py [--out PATH]
 
-prints one line per group and writes the values, timings and peak RSS to
+prints one line per row and writes the values, timings and peak RSS to
 PATH (default: the "reach" entry of BENCH_split_atoms.json, whose other
 entries are kept).  On a 2-core x86-64 machine D18 takes about 12 s and
-125 MB, and D20 about 5 s and 70 MB.
+125 MB, D20 about 5 s and 70 MB, and P D18 about 2.5 s and 31 MB.
 """
 
 from __future__ import annotations
@@ -24,53 +28,63 @@ import subprocess
 import sys
 import time
 
-from prodone import factor
+from prodone import checks, factor
 from prodone.groups import analyze, parse_group
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEFAULT_OUT = os.path.join(os.path.dirname(HERE), "BENCH_split_atoms.json")
-SPECS = ("D18", "D20")
+ROWS = ("D18", "D20", "P D18")
 
 
-def measure(spec: str) -> dict:
-    """Atom count, d(G), D(G) and |G'| of one group, with time and peak RSS
-    of this process."""
+def measure(row: str) -> dict:
+    """For a group spec, its atom count, d(G), D(G) and |G'|; for "P " and a
+    spec, the property P verdict of the group, its bound and witness split;
+    with time and peak RSS of this process."""
     start = time.perf_counter()
-    group = parse_group(spec)
-    atoms = factor.enumerate_atoms(group)
-    rep = factor.davenport(group, atoms=atoms)
-    elapsed = time.perf_counter() - start
-    return {
-        "atoms": len(atoms),
-        "small": rep.small,
-        "large": rep.large,
-        "commutator_order": analyze(group).commutator.order,
-        "seconds": round(elapsed, 2),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                             / 1024, 1),
-    }
+    if row.startswith("P "):
+        verdict = checks.property_P(parse_group(row[2:])).as_dict()
+        witness = verdict.get("witness")
+        out = {
+            "holds": verdict["holds"],
+            "bound": verdict["bound"],
+            "witness_split": witness and witness["split_sequence"],
+        }
+    else:
+        group = parse_group(row)
+        atoms = factor.enumerate_atoms(group)
+        rep = factor.davenport(group, atoms=atoms)
+        out = {
+            "atoms": len(atoms),
+            "small": rep.small,
+            "large": rep.large,
+            "commutator_order": analyze(group).commutator.order,
+        }
+    out["seconds"] = round(time.perf_counter() - start, 2)
+    out["peak_rss_mb"] = round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    return out
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=DEFAULT_OUT)
-    ap.add_argument("--one", metavar="SPEC",
-                    help="measure one group and print its row as JSON")
+    ap.add_argument("--one", metavar="ROW",
+                    help="measure one row and print it as JSON")
     args = ap.parse_args()
     if args.one:
         print(json.dumps(measure(args.one)))
         return
     rows = {}
-    for spec in SPECS:
-        child = subprocess.run([sys.executable, __file__, "--one", spec],
+    for row in ROWS:
+        child = subprocess.run([sys.executable, __file__, "--one", row],
                                check=True, capture_output=True, text=True)
-        rows[spec] = json.loads(child.stdout)
-        print(spec, json.dumps(rows[spec]), flush=True)
+        rows[row] = json.loads(child.stdout)
+        print(row, json.dumps(rows[row]), flush=True)
     reach = {
         "command": "PYTHONPATH=src python3 scripts/atom_reach.py",
         "machine": f"{os.cpu_count()}-core {platform.machine()}, "
                    f"CPython {platform.python_version()}",
-        "groups": rows,
+        "rows": rows,
     }
     out = {}
     if os.path.exists(args.out):

@@ -9,14 +9,16 @@ up to the bound actually searched.
 The two-atom splitting scan walks the atoms of `factor.canonical_atoms`
 (see `factor` for the atom test, the split-generated scan and the orbit
 reduction) and tests their splits: a sequence is a product of two atoms when
-some split (T, B - T) from `sequences.pivot_splits` has two atom parts.  The
-scan yields the canonical atoms in the order of a full scan of all
-multisets, by length and then lexicographically, and whether an atom has a
-split needing three atoms is invariant under Aut(G).  So the first
-counterexample of the full scan is the least of its orbit, and it is the
-first atom with a bad split met here too: the witness is the one the
-unreduced exhaustive scan finds.  The scan stops at the first length without
-an atom; the budget counts the distinct splits it forms to find the atoms.
+some split (T, B - T) from `sequences.pivot_splits` has two atom parts.
+Whether a split needs three atoms is invariant under Aut(G), so each split
+is tested once per orbit, on its least member (`factor.least_image`), and
+every split of the orbit takes that verdict.  The scan yields the canonical
+atoms in the order of a full scan of all multisets, by length and then
+lexicographically, so the first counterexample of the full scan is the least
+of its orbit, and it is the first atom with a bad split met here too; the
+witness is reported from the raw split met first, as the unreduced
+exhaustive scan finds it.  The scan stops at the first length without an
+atom; the budget counts the distinct splits it forms to find the atoms.
 
 Membership of a sequence S in the quotient group of the product-one monoid
 is decided by a coset test: S belongs to it exactly when every product of S
@@ -35,6 +37,8 @@ from .factor import (
     FactorizationContext,
     canonical_atoms,
     is_atom,
+    least_image,
+    orbit_getters,
 )
 from .groups import Group, analyze
 from .sequences import (
@@ -82,14 +86,18 @@ def property_P(group: Group, engine: Optional[PiEngine] = None,
                budget: int = PROPERTY_P_BUDGET) -> Verdict:
     """Split one term of an atom into two factors; the result must factor
     into at most two atoms.  Scans atoms by increasing length and stops at
-    the first counterexample.  Every distinct split the atom scan forms
-    counts against the budget, the ones that are not the least of their
-    Aut(G)-orbit included."""
+    the first counterexample.  Each split is tested on the least member of
+    its Aut(G)-orbit, once per orbit.  Every distinct split the atom scan
+    forms counts against the budget, the ones that are not the least of
+    their Aut(G)-orbit included."""
     engine = engine or PiEngine(group)
     n = group.order
     cap = max_len if max_len is not None else n
-    ok_cache: dict[bytes, bool] = {}
-    for exps in canonical_atoms(group, tuple(range(n)), engine, budget, cap):
+    everything = tuple(range(n))
+    getters = orbit_getters(group, everything)
+    ok_cache: dict[bytes, bool] = {}           # by raw split
+    orbit_ok: dict[tuple[int, ...], bool] = {}  # by least orbit member
+    for exps in canonical_atoms(group, everything, engine, budget, cap):
         atom_seq = Sequence(group, exps)
         for g in atom_seq.support():
             for h1 in range(n):
@@ -101,7 +109,11 @@ def property_P(group: Group, engine: Optional[PiEngine] = None,
                 nkey = bytes(nxt)
                 ok = ok_cache.get(nkey)
                 if ok is None:
-                    ok = _two_atom_bound_ok(nkey, engine)
+                    least = least_image(nkey, getters)
+                    ok = orbit_ok.get(least)
+                    if ok is None:
+                        ok = _two_atom_bound_ok(bytes(least), engine)
+                        orbit_ok[least] = ok
                     ok_cache[nkey] = ok
                 if not ok:
                     split_seq = Sequence(group, tuple(nxt))

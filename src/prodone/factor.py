@@ -25,7 +25,9 @@ fix H and map atoms and splits to atoms and splits, so each level keeps the
 least (lexicographically) member of each orbit, and the splits of those reach
 every orbit of the next level.  The budget counts the distinct splits formed.
 The enumeration expands each canonical atom to its whole orbit;
-`checks.property_P` tests the splits of each one.
+`checks.property_P` tests one split per orbit, on its least member
+(`least_image`), since whether a split needs three atoms is invariant under
+Aut(G), and it reports the first failing split the full scan meets.
 """
 
 from __future__ import annotations
@@ -94,6 +96,12 @@ def orbit_getters(group: Group, sup: tuple[int, ...]) -> list[itemgetter]:
              if all(aut[g] in inside for g in sup)}
     perms.discard(tuple(range(group.order)))
     return [itemgetter(*p) for p in sorted(perms)]
+
+
+def least_image(key: bytes, getters: list[itemgetter]) -> tuple[int, ...]:
+    """The least (lexicographically) member of the orbit of an exponent
+    vector under the getters of `orbit_getters`."""
+    return min([tuple(key), *[get(key) for get in getters]])
 
 
 def _support_indices(group: Group, support) -> tuple[int, ...]:
@@ -189,7 +197,7 @@ def canonical_atoms(group: Group, sup: tuple[int, ...], engine: PiEngine,
                             raise BudgetExceededError(
                                 f"atom scan exceeded {budget} candidates at "
                                 f"length {length} of {max_len}")
-                        least = min([tuple(key), *(get(key) for get in getters)])
+                        least = least_image(key, getters)
                         if least not in found:
                             found[least] = engine.is_atom(bytes(least))
             level = sorted(k for k, ok in found.items() if ok)

@@ -6,13 +6,19 @@ import pytest
 
 from oracles import oracle_is_atom
 from prodone.checks import (
+    _two_atom_bound_ok,
     krull_witness,
     property_P,
     quotient_group_member_mask,
     seminormality,
 )
 from prodone.errors import BudgetExceededError
-from prodone.factor import is_atom
+from prodone.factor import (
+    canonical_atoms,
+    is_atom,
+    least_image,
+    orbit_getters,
+)
 from prodone.groups import parse_group
 from prodone.sequences import PiEngine, Sequence
 
@@ -67,6 +73,53 @@ def test_property_p_budget_counts_skipped_candidates(groups, unreduce):
         assert property_P(d8, budget=candidates).holds is True
         with pytest.raises(BudgetExceededError):
             property_P(d8, budget=candidates - 1)
+
+
+def test_property_p_orbit_cache_matches_unreduced(groups, unreduce):
+    """Testing one split per Aut(G)-orbit gives the verdict of testing every
+    split, with a smaller pi memo."""
+    cases = {spec: groups[spec] for spec in ("D6", "D8", "Q8")}
+    cases["D10"] = parse_group("D10")
+    engines = {spec: (PiEngine(group), PiEngine(group))
+               for spec, group in cases.items()}
+    reduced = {spec: property_P(group, engines[spec][0])
+               for spec, group in cases.items()}
+    unreduce()
+    for spec, group in cases.items():
+        assert property_P(group, engines[spec][1]) == reduced[spec], spec
+        assert reduced[spec].holds is True, spec
+    reduced_engine, full_engine = engines["D10"]
+    assert reduced_engine.memo_size() < full_engine.memo_size()
+
+
+def test_two_atom_verdict_is_automorphism_invariant(groups, engines):
+    """The fact the orbit cache of property_P rests on: every split of every
+    canonical atom gets the verdict of each of its images under Aut(G), and
+    `least_image` is the least of those images."""
+    for spec, n_auts in (("D8", 8), ("Q8", 24)):
+        group, engine = groups[spec], engines[spec]
+        n = group.order
+        auts = group.automorphisms()
+        assert len(auts) == n_auts
+        getters = orbit_getters(group, tuple(range(n)))
+        for atom in canonical_atoms(group, tuple(range(n)), engine,
+                                    10_000, n):
+            for g in Sequence(group, atom).support():
+                for h1 in range(n):
+                    split = list(atom)
+                    split[g] -= 1
+                    split[h1] += 1
+                    split[group.mul[group.inv[h1]][g]] += 1
+                    key = bytes(split)
+                    ok = _two_atom_bound_ok(key, engine)
+                    images = []
+                    for sigma in auts:
+                        image = [0] * n
+                        for x, e in enumerate(split):
+                            image[sigma[x]] += e
+                        images.append(tuple(image))
+                        assert _two_atom_bound_ok(bytes(image), engine) == ok
+                    assert least_image(key, getters) == min(images)
 
 
 def test_property_p_over_the_automorphism_cap_is_unreduced(unreduce):
