@@ -22,7 +22,10 @@ A bounded key can merge inequivalent sequences, so every build is validated
 once: all structural facts (unit group, embedded quotient group, idempotent
 product sets, ...) are checked, and recognition through the reported table
 is compared against direct product-one tests on an exhaustive short-sequence
-sweep plus seeded random longer sequences.  A failure raises
+sweep plus seeded random longer sequences.  The exhaustive sweeps walk the
+tree of exponent vectors slot by slot (``_sweep``), so each sequence takes
+its class walk and central product from its parent, and is product-one iff
+z^-1 lies in pi(S_nc) for its central product z.  A failure raises
 ``ValidationFailure``.
 """
 
@@ -402,16 +405,15 @@ def _validate_coset_epimorphism(semi: ClassSemigroup) -> None:
 
 
 def _validate_zero_class(semi: ClassSemigroup, engine: PiEngine) -> None:
+    """A sequence lies in the zero class iff S_nc is empty and S is
+    product-one, checked on every sequence up to ``ZERO_CLASS_CHECK_LEN``."""
     group = semi.group
-    center = semi.structure.center.members
-    for exps in iter_multisets(group.order, ZERO_CLASS_CHECK_LEN):
-        seq = Sequence(group, exps)
-        in_zero = semi.class_of(seq) == semi.zero
-        over_center = all(g in center for g in seq.support())
-        expected = over_center and engine.is_product_one(seq)
-        if in_zero != expected:
-            raise ValidationFailure(
-                f"zero class mismatch at {seq.display()}")
+    pi, inv = engine.pi_mask, group.inv
+    for exps, cls, z, nc in _sweep(semi, ZERO_CLASS_CHECK_LEN):
+        expected = not any(nc) and bool(pi(nc) >> inv[z] & 1)
+        if (cls == semi.zero) != expected:
+            seq = Sequence(group, tuple(exps))
+            raise ValidationFailure(f"zero class mismatch at {seq.display()}")
 
 
 def _validate_commutator_two(semi: ClassSemigroup) -> None:
@@ -436,27 +438,105 @@ def _validate_commutator_two(semi: ClassSemigroup) -> None:
                     "odd power sequence does not match its product singleton")
 
 
+def _sweep(semi: ClassSemigroup, max_len: int):
+    """(exps, cls, z, nc) for every multiset of length <= ``max_len``, by
+    length and then in the order of ``iter_multisets_exact``.
+
+    ``cls`` is ``class_of`` of the multiset, ``z`` the product of its central
+    terms and ``nc`` the bytes of S_nc, its exponent vector with the central
+    slots zeroed, so S is product-one iff bit ``inv[z]`` of pi(S_nc) is set.
+    ``exps`` is the walk's own list: copy it to keep it.
+
+    The walk is depth-first over the slots 0..n-1 with ascending exponents,
+    unrolled into the successor loop of ``iter_multisets_exact``.  Slot i
+    carries the class and central product of the slots before it, so raising
+    its exponent by one is one ``op[cls][singletons[i]]`` step, the step
+    ``class_of`` takes; only the last slot, which takes the remaining length,
+    is walked at every leaf.
+    """
+    group = semi.group
+    n = group.order
+    op, single, mul = semi.op, semi.singletons, group.mul
+    center = semi.structure.center.members
+    central = [g in center for g in range(n)]
+    last = n - 1
+    s_last, last_central = single[last], central[last]
+    for total in range(max_len + 1):
+        x = [0] * n
+        x[last] = total
+        nc = bytearray(n)
+        # cls_at[i], z_at[i]: the class and central product of slots < i
+        cls_at = [0] * n
+        z_at = [0] * n
+        while True:
+            cls, z, r = cls_at[last], z_at[last], x[last]
+            for _ in range(r):
+                cls = op[cls][s_last]
+            if last_central:
+                for _ in range(r):
+                    z = mul[z][last]
+            else:
+                nc[last] = r
+            yield x, cls, z, bytes(nc)
+            if r and last:
+                j = last     # move one unit from the last slot to slot j - 1
+                x[last] = r - 1
+            else:
+                j = last - 1
+                while j > 0 and not x[j]:
+                    j -= 1
+                if j <= 0:
+                    break    # slot 0 holds the whole length
+                x[last] = x[j] - 1
+                x[j] = 0
+                if not central[j]:
+                    nc[j] = 0
+            g = j - 1
+            x[g] += 1
+            if central[g]:
+                z_at[j] = mul[z_at[j]][g]
+            else:
+                nc[g] += 1
+            cls_at[j] = op[cls_at[j]][single[g]]
+            for i in range(j + 1, n):
+                cls_at[i], z_at[i] = cls_at[j], z_at[j]
+
+
 def _validate_recognition(semi: ClassSemigroup, engine: PiEngine,
                           seed: int) -> None:
-    """Compare acceptance through ``class_of``, a walk through the reported
-    table, with direct product-one tests: every sequence up to the
-    exhaustive length, then N_RANDOM seeded longer ones."""
+    """Compare acceptance through the reported table with direct
+    product-one tests: every sequence up to the exhaustive length, then
+    N_RANDOM seeded longer ones.
+
+    The class of a sequence is the walk ``class_of`` takes through ``op``,
+    and S is product-one iff z^-1 lies in pi(S_nc), where z is the product
+    of its central terms (the identity ``PiEngine.pi_mask`` applies).  The
+    exhaustive part runs on ``_sweep``, so a sequence carries the walk of
+    its parent in the slot tree.  Neither part writes a product-set memo
+    entry for the full key, or builds a ``Sequence`` but for the message of
+    a mismatch.
+    """
     from .factor import small_davenport
     group = semi.group
     n = group.order
+    op, single, accept, mul, inv = (semi.op, semi.singletons, semi.accept,
+                                    group.mul, group.inv)
+    pi = engine.pi_mask
     l_target = small_davenport(group, engine) + 4
     l_exh = l_target
     while l_exh > 1 and comb(l_exh + n, n) > EXHAUSTIVE_BUDGET:
         l_exh -= 1
+
+    def mismatch(where: str, exps) -> ValidationFailure:
+        seq = Sequence(group, tuple(exps))
+        return ValidationFailure(f"recognition mismatch at {where}{seq.display()}")
+
     checked = 0
-    for exps in iter_multisets(n, l_exh):
-        seq = Sequence(group, exps)
-        direct = engine.is_product_one(seq)
-        via_classes = semi.accept[semi.class_of(seq)]
-        if direct != via_classes:
-            raise ValidationFailure(
-                f"recognition mismatch at {seq.display()}")
+    for exps, cls, z, nc in _sweep(semi, l_exh):
+        if accept[cls] != bool(pi(nc) >> inv[z] & 1):
+            raise mismatch("", exps)
         checked += 1
+    center = semi.structure.center.members
     rng = random.Random(seed)
     l_max = 2 * l_target
     for _ in range(N_RANDOM):
@@ -464,12 +544,18 @@ def _validate_recognition(semi: ClassSemigroup, engine: PiEngine,
         exps = [0] * n
         for _ in range(length):
             exps[rng.randrange(n)] += 1
-        seq = Sequence(group, tuple(exps))
-        direct = engine.is_product_one(seq)
-        via_classes = semi.accept[semi.class_of(seq)]
-        if direct != via_classes:
-            raise ValidationFailure(
-                f"recognition mismatch at random {seq.display()}")
+        cls = z = 0
+        nc = bytearray(exps)
+        for g, e in enumerate(exps):
+            s = single[g]
+            for _ in range(e):
+                cls = op[cls][s]
+            if g in center:
+                for _ in range(e):
+                    z = mul[z][g]
+                nc[g] = 0
+        if accept[cls] != bool(pi(bytes(nc)) >> inv[z] & 1):
+            raise mismatch("random ", exps)
     semi.provenance.update({
         "recognition_exhaustive_len": l_exh,
         "recognition_exhaustive_count": checked,

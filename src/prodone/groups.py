@@ -21,6 +21,16 @@ from .errors import GroupSpecError, GroupValidationError
 AUTOMORPHISM_CAP = 1000
 
 
+def mask_elements(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 class Group:
     """Immutable finite group given by its Cayley table."""
 
@@ -198,13 +208,7 @@ class Group:
             m |= 1 << g
         return m
 
-    def mask_elements(self, mask: int) -> tuple[int, ...]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
+    mask_elements = staticmethod(mask_elements)
 
     def __repr__(self) -> str:
         return f"Group({self.spec}, order={self.order})"

@@ -27,7 +27,7 @@ from .factor import (
     is_atom,
     orbit_getters,
 )
-from .groups import Group
+from .groups import Group, mask_elements
 from .sequences import PiEngine, Sequence, iter_multisets
 
 UNION_PRODUCT_BUDGET = 2_000_000
@@ -390,6 +390,11 @@ def semigroup_davenport(op: Iterable[Iterable[int]],
     d is the largest size of an irredundant multiset (no proper sub-multiset
     shares its total sum); D = d + 1.  Irredundancy is inherited by
     sub-multisets, so a frontier search over canonical multisets suffices.
+    Each frontier entry carries, as bitmasks over the elements, the sums A
+    of all its index-subsets and the sums P of its proper ones.  Appending
+    c gives P' = A | P*c and A' = A | A*c, and the extension is irredundant
+    exactly when its total is not in P'.  ``budget`` bounds the candidates
+    explored.
     """
     table = [list(row) for row in op]
     size = len(table)
@@ -406,53 +411,39 @@ def semigroup_davenport(op: Iterable[Iterable[int]],
             if table[a][b] != table[b][a]:
                 raise ValueError("operation table is not commutative")
 
-    # frontier of irredundant multisets, canonical by non-decreasing element
-    frontier: list[tuple[tuple[int, ...], int]] = [((), ident)]
+    # frontier of irredundant multisets, canonical by non-decreasing element:
+    # (multiset, total, A, P); table[c][x] is x*c, as the table commutes
+    frontier: list[tuple[tuple[int, ...], int, int, int]] = [((), ident, 1 << ident, 0)]
     best: tuple[int, ...] = ()
     explored = 0
     while frontier:
-        nxt: list[tuple[tuple[int, ...], int]] = []
-        for ms, total in frontier:
+        nxt: list[tuple[tuple[int, ...], int, int, int]] = []
+        for ms, total, sums, proper in frontier:
             start = ms[-1] if ms else 0
+            sum_elems, proper_elems = mask_elements(sums), mask_elements(proper)
+            row = table[total]
             for c in range(start, size):
-                cand = ms + (c,)
-                cand_total = table[total][c]
                 explored += 1
                 if explored > budget:
                     raise BudgetExceededError(
                         f"semigroup Davenport frontier exceeded {budget}")
-                if _is_irredundant(cand, cand_total, table, ident):
-                    nxt.append((cand, cand_total))
+                cand_total = row[c]
+                by_c = table[c]
+                if sums >> cand_total & 1 or any(by_c[p] == cand_total
+                                                 for p in proper_elems):
+                    continue
+                sums_c = proper_c = 0
+                for x in sum_elems:
+                    sums_c |= 1 << by_c[x]
+                for x in proper_elems:
+                    proper_c |= 1 << by_c[x]
+                nxt.append((ms + (c,), cand_total, sums | sums_c, sums | proper_c))
         if not nxt:
             break
         best = nxt[0][0]
         frontier = nxt
     d = len(best)
     return SemigroupDavenport(d, d + 1, size, best)
-
-
-def _is_irredundant(ms: tuple[int, ...], total: int,
-                    table: list[list[int]], ident: int) -> bool:
-    """No proper sub-multiset of ms sums to the total."""
-    counts: dict[int, int] = {}
-    for c in ms:
-        counts[c] = counts.get(c, 0) + 1
-    items = list(counts.items())
-
-    sums = {ident: 1}  # value -> number of sub-multisets with that sum
-    for c, k in items:
-        new: dict[int, int] = {}
-        for val, cnt in sums.items():
-            cur = val
-            new[cur] = new.get(cur, 0) + cnt
-            for _ in range(k):
-                cur = table[cur][c]
-                new[cur] = new.get(cur, 0) + cnt
-        sums = new
-    if sums.get(total, 0) > 1:
-        return False
-    # exactly one: it must be the full multiset itself
-    return True
 
 
 def semigroup_davenport_of_group(group: Group) -> SemigroupDavenport:

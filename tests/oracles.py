@@ -3,16 +3,30 @@
 Everything here works by explicit enumeration of orderings and splits, with
 no sharing of code paths with the package's dynamic programming, except
 `lexicographic_atoms`: it keeps the package's atom test and orbit reduction
-and checks only how the atom scan finds its candidates.
+and checks only how the atom scan finds its candidates.  Likewise
+`oracle_zero_class` and `oracle_recognition` keep `ClassSemigroup.class_of`
+and `PiEngine.is_product_one`, one `Sequence` at a time, and check only how
+the class semigroup's sweeps carry their walk; `oracle_semigroup_davenport`
+recounts every sub-multiset sum of every frontier candidate.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
+from math import comb
 
-from prodone.factor import orbit_getters
+from prodone import classsemi
+from prodone.errors import BudgetExceededError, ValidationFailure
+from prodone.factor import orbit_getters, small_davenport
 from prodone.groups import Group, closure_of
-from prodone.sequences import PiEngine, Sequence, iter_multisets_exact
+from prodone.invariants import SemigroupDavenport
+from prodone.sequences import (
+    PiEngine,
+    Sequence,
+    iter_multisets,
+    iter_multisets_exact,
+)
 
 
 def oracle_pi(seq: Sequence) -> set[int]:
@@ -84,7 +98,6 @@ def oracle_is_atom(seq: Sequence) -> bool:
 
 
 def oracle_atoms(group: Group, max_len: int) -> list[Sequence]:
-    from prodone.sequences import iter_multisets
     out = []
     for exps in iter_multisets(group.order, max_len):
         if not sum(exps):
@@ -143,3 +156,109 @@ def oracle_lengths(seq: Sequence) -> set[int]:
         return out
 
     return rec(seq)
+
+
+def oracle_zero_class(semi, engine: PiEngine) -> None:
+    """The zero-class check one `Sequence` at a time: a sequence lies in
+    the zero class iff all its terms are central and it is product-one."""
+    group = semi.group
+    center = semi.structure.center.members
+    for exps in iter_multisets(group.order, classsemi.ZERO_CLASS_CHECK_LEN):
+        seq = Sequence(group, exps)
+        in_zero = semi.class_of(seq) == semi.zero
+        over_center = all(g in center for g in seq.support())
+        expected = over_center and engine.is_product_one(seq)
+        if in_zero != expected:
+            raise ValidationFailure(f"zero class mismatch at {seq.display()}")
+
+
+def oracle_recognition(semi, engine: PiEngine, seed: int) -> None:
+    """The recognition sweep one `Sequence` at a time: acceptance through
+    `class_of` against `is_product_one` on every sequence up to the
+    exhaustive length, then on `N_RANDOM` seeded longer ones.  Writes the
+    same provenance counts as `classsemi._validate_recognition`."""
+    group = semi.group
+    n = group.order
+    l_target = small_davenport(group, engine) + 4
+    l_exh = l_target
+    while l_exh > 1 and comb(l_exh + n, n) > classsemi.EXHAUSTIVE_BUDGET:
+        l_exh -= 1
+    checked = 0
+    for exps in iter_multisets(n, l_exh):
+        seq = Sequence(group, exps)
+        direct = engine.is_product_one(seq)
+        via_classes = semi.accept[semi.class_of(seq)]
+        if direct != via_classes:
+            raise ValidationFailure(f"recognition mismatch at {seq.display()}")
+        checked += 1
+    rng = random.Random(seed)
+    l_max = 2 * l_target
+    for _ in range(classsemi.N_RANDOM):
+        length = rng.randint(l_exh + 1, l_max)
+        exps = [0] * n
+        for _ in range(length):
+            exps[rng.randrange(n)] += 1
+        seq = Sequence(group, tuple(exps))
+        direct = engine.is_product_one(seq)
+        via_classes = semi.accept[semi.class_of(seq)]
+        if direct != via_classes:
+            raise ValidationFailure(
+                f"recognition mismatch at random {seq.display()}")
+    semi.provenance.update({
+        "recognition_exhaustive_len": l_exh,
+        "recognition_exhaustive_count": checked,
+        "recognition_random_count": classsemi.N_RANDOM,
+        "recognition_random_max_len": l_max,
+    })
+
+
+def oracle_semigroup_davenport(op, budget: int) -> tuple[SemigroupDavenport, int]:
+    """d(C) by the frontier search over canonical multisets that recounts
+    every sub-multiset sum of each candidate, with the number of candidates
+    it explored.  The operation table is taken as valid."""
+    table = [list(row) for row in op]
+    size = len(table)
+    ident = next(e for e in range(size)
+                 if all(table[e][x] == x == table[x][e] for x in range(size)))
+    frontier: list[tuple[tuple[int, ...], int]] = [((), ident)]
+    best: tuple[int, ...] = ()
+    explored = 0
+    while frontier:
+        nxt: list[tuple[tuple[int, ...], int]] = []
+        for ms, total in frontier:
+            start = ms[-1] if ms else 0
+            for c in range(start, size):
+                cand = ms + (c,)
+                cand_total = table[total][c]
+                explored += 1
+                if explored > budget:
+                    raise BudgetExceededError(
+                        f"semigroup Davenport frontier exceeded {budget}")
+                if _is_irredundant(cand, cand_total, table, ident):
+                    nxt.append((cand, cand_total))
+        if not nxt:
+            break
+        best = nxt[0][0]
+        frontier = nxt
+    d = len(best)
+    return SemigroupDavenport(d, d + 1, size, best), explored
+
+
+def _is_irredundant(ms: tuple[int, ...], total: int,
+                    table: list[list[int]], ident: int) -> bool:
+    """No proper sub-multiset of ms sums to the total: the full multiset is
+    the only one counted at the total."""
+    counts: dict[int, int] = {}
+    for c in ms:
+        counts[c] = counts.get(c, 0) + 1
+    sums = {ident: 1}  # value -> number of sub-multisets with that sum
+    for c, k in counts.items():
+        new: dict[int, int] = {}
+        for val, cnt in sums.items():
+            cur = val
+            new[cur] = new.get(cur, 0) + cnt
+            for _ in range(k):
+                cur = table[cur][c]
+                new[cur] = new.get(cur, 0) + cnt
+        sums = new
+    return sums.get(total, 0) <= 1

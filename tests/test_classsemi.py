@@ -1,22 +1,28 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
 
+from oracles import oracle_recognition, oracle_zero_class
 from prodone.classsemi import (
     _validate_recognition,
     _validate_structure,
+    _validate_zero_class,
     are_equivalent,
     build,
+    discover_folds,
     explore,
     idempotent_structure,
     quotient_copy,
     regularity_report,
     unit_and_quotient_subgroups,
 )
+from prodone.errors import ValidationFailure
 from prodone.groups import abelian_invariants, parse_group
-from prodone.sequences import Sequence, iter_multisets
+from prodone.invariants import semigroup_davenport
+from prodone.sequences import PiEngine, Sequence, iter_multisets
 
 
 def _lasso(semi, g):
@@ -326,22 +332,51 @@ def test_trivial_group_is_clifford_single_class(groups, engines):
     assert rep.is_clifford and rep.regular == (0,)
 
 
+def _failure(check, *args):
+    """The message of the ValidationFailure a check raises, or None."""
+    try:
+        check(*args)
+    except ValidationFailure as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("spec", ["C6", "C2xC4", "D6", "D8", "Q8"])
+def test_sweeps_match_their_oracles(spec):
+    """The slot-walk sweeps pass where the per-sequence sweeps pass, with
+    the same recognition counts, on a table that builds and validates."""
+    group = parse_group(spec)
+    semi = discover_folds(group)
+    found = dict(semi.provenance)
+    engine, oracle_engine = PiEngine(group), PiEngine(group)
+    assert _failure(_validate_zero_class, semi, engine) is None
+    assert _failure(oracle_zero_class, semi, oracle_engine) is None
+    _validate_recognition(semi, engine, 0)
+    ours, semi.provenance = semi.provenance, dict(found)
+    oracle_recognition(semi, oracle_engine, 0)
+    assert ours == semi.provenance
+    assert ours["recognition_exhaustive_count"] == comb(
+        ours["recognition_exhaustive_len"] + group.order, group.order)
+
+
 @pytest.mark.parametrize("spec,max_len,n_classes",
-                         [("D6", 0, 12), ("D6", 1, 23), ("D8", 0, 12), ("Q8", 0, 12)])
-def test_underexplored_table_is_caught_by_validation(groups, spec, max_len,
-                                                     n_classes):
+                         [("D6", 0, 12), ("D6", 1, 23), ("D8", 0, 12), ("Q8", 0, 12),
+                          ("D10", 2, 187)])
+def test_underexplored_table_is_caught_by_validation(spec, max_len, n_classes):
     """Contexts too short to tell every class apart give a table that
-    fails both the structural checks and the recognition sweep."""
-    from prodone.errors import ValidationFailure
-    from prodone.sequences import PiEngine
-    group = groups[spec]
+    fails both the structural checks and the recognition sweep.  The
+    sweeps fail at the sequence where the per-sequence oracles fail."""
+    group = parse_group(spec)
     engine = PiEngine(group)
     semi = explore(group, max_len, engine)
     assert semi.n_classes == n_classes
     with pytest.raises(ValidationFailure):
         _validate_structure(semi, engine)
-    with pytest.raises(ValidationFailure):
-        _validate_recognition(semi, engine, 0)
+    message = _failure(_validate_recognition, semi, engine, 0)
+    assert message is not None
+    assert message == _failure(oracle_recognition, semi, PiEngine(group), 0)
+    assert _failure(_validate_zero_class, semi, engine) == \
+        _failure(oracle_zero_class, semi, PiEngine(group))
 
 
 def test_growing_context_length_until_the_count_is_stable(class_semigroups):
@@ -362,6 +397,13 @@ def test_d12_class_semigroup_passes_every_validator(d12_semigroup):
     assert d12_semigroup.n_classes == 52
     assert len(d12_semigroup.units()) == 2
     assert d12_semigroup.provenance["class_counts"] == [24, 46, 52, 52]
+
+
+def test_d12_semigroup_davenport(d12_semigroup):
+    """The frontier that carries its subset sums reaches d(C) of the
+    52-class table."""
+    sd = semigroup_davenport(d12_semigroup.op)
+    assert (sd.small, sd.large) == (7, 8)
 
 
 def _isomorphism(a, b):
@@ -396,7 +438,6 @@ def test_c2xd6_table_is_isomorphic_to_the_validated_d12_table(d12_semigroup):
     class_of on C2xD6 is Phi of class_of on D12 through phi, so the
     unvalidated C2xD6 table recognises exactly what the validated D12 table
     does, up to phi."""
-    from prodone.classsemi import discover_folds
     a_semi = d12_semigroup
     b_semi = discover_folds(parse_group("C2xD6"))
     a, b = a_semi.group, b_semi.group
@@ -424,7 +465,6 @@ def test_memo_cap_bounds_the_keyed_sequences(groups):
     """More keyed sequences than the memo cap over the number of contexts
     stop the search before they are keyed."""
     from prodone.errors import BudgetExceededError
-    from prodone.sequences import PiEngine
     engine = PiEngine(groups["D6"], memo_cap=200)  # 84 contexts at L = 3
     with pytest.raises(BudgetExceededError,
                        match=r"3 sequences keyed over 84 contexts at context "
@@ -436,7 +476,6 @@ def test_recognition_checks_the_reported_table(groups, class_semigroups, engines
     """class_of walks op, so one wrong op entry, reached by the sequence b^2,
     must fail the recognition sweep."""
     import copy
-    from prodone.errors import ValidationFailure
     d6 = groups["D6"]
     semi = class_semigroups["D6"][0]
     b = semi.class_of(Sequence.from_literal(d6, "b"))
@@ -445,8 +484,9 @@ def test_recognition_checks_the_reported_table(groups, class_semigroups, engines
     bad.op = tuple(tuple(b if (i, j) == (b, b) else cls for j, cls in enumerate(row))
                    for i, row in enumerate(semi.op))
     bad.provenance = dict(semi.provenance)
-    with pytest.raises(ValidationFailure, match="recognition mismatch"):
-        _validate_recognition(bad, engines["D6"], 0)
+    message = _failure(_validate_recognition, bad, engines["D6"], 0)
+    assert message.startswith("recognition mismatch")
+    assert message == _failure(oracle_recognition, bad, PiEngine(d6), 0)
 
 
 def test_units_of_abelian_fixture_match_group(groups, engines):

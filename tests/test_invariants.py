@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from oracles import oracle_semigroup_davenport
 from prodone.errors import BudgetExceededError
 from prodone.factor import davenport, divides_in_B
 from prodone.groups import analyze, parse_group
 from prodone.invariants import (
+    SEMIGROUP_FRONTIER_BUDGET,
     GroupInvariants,
     delta_set,
     omega,
@@ -222,6 +224,24 @@ def test_semigroup_davenport_of_groups(groups):
         assert (sd.small, sd.large) == (n - 1, n)
     sd = semigroup_davenport_of_group(groups["C2xC2"])
     assert sd.large == 3
+
+
+@pytest.mark.parametrize("spec", ["D6", "D8", "Q8", "C2", "C3", "C4", "C5",
+                                  "C6", "C7", "C8", "C2xC2", "C2xC4"])
+def test_semigroup_davenport_matches_oracle(spec, class_semigroups):
+    """The frontier that carries its subset sums finds the oracle's d, D,
+    size and witness, on the fixture class semigroups and on group tables,
+    and exactly the oracle's number of explored candidates fits the
+    budget."""
+    if spec in class_semigroups:
+        table = class_semigroups[spec][0].op
+    else:
+        table = parse_group(spec).mul
+    want, explored = oracle_semigroup_davenport(table, SEMIGROUP_FRONTIER_BUDGET)
+    assert semigroup_davenport(table) == want
+    assert semigroup_davenport(table, budget=explored) == want
+    with pytest.raises(BudgetExceededError, match=f"exceeded {explored - 1}$"):
+        semigroup_davenport(table, budget=explored - 1)
 
 
 def test_semigroup_davenport_rejects_bad_tables():
