@@ -7,7 +7,10 @@ pi(S) = pi(S_nc) * z, where S_nc is S without its central terms and z is
 their product; the identity is central, and on an abelian group S_nc is
 empty.  pi(S_nc) comes from dynamic programming over the sub-multisets of
 S_nc (P(M) = union over g in supp(M) of P(M - g) * g), memoized on packed
-exponent vectors.  All product sets are bitmasks over the group.
+exponent vectors.  G/G' is abelian, so every ordering of M multiplies into
+one coset c G' of the commutator subgroup; the DP stops at a node as soon as
+the children it has used fill c G', and visits only the sub-multisets it
+needs.  All product sets are bitmasks over the group.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError, SequenceError
-from .groups import Group, center_of
+from .groups import Group, center_of, commutator_subgroup
 
 DEFAULT_MEMO_CAP = 1 << 24
+MAX_MULTIPLICITY = 255  # exponent vectors pack into one byte per element
 
 
 @dataclass(frozen=True)
@@ -32,8 +36,9 @@ class Sequence:
     def __post_init__(self) -> None:
         if len(self.exps) != self.group.order:
             raise SequenceError("exponent vector length does not match group order")
-        if any(e < 0 for e in self.exps):
-            raise SequenceError("negative multiplicity")
+        if min(self.exps) < 0 or max(self.exps) > MAX_MULTIPLICITY:
+            raise SequenceError(
+                f"multiplicities must lie in 0..{MAX_MULTIPLICITY}")
 
     @staticmethod
     def empty(group: Group) -> "Sequence":
@@ -181,10 +186,10 @@ class PiEngine:
     """Memoized product-set computations for one group.
 
     The memo is keyed by the packed exponent vector.  It holds every queried
-    key and the sub-multisets of its non-central part that the DP visits;
-    one engine per top-level computation keeps memory bounded and results
-    reproducible.  The atom memo holds only keys already in the pi memo, so
-    `memo_cap` bounds both.
+    key and the sub-multisets of its non-central part that the DP needed,
+    each with its exact product set; one engine per top-level computation
+    keeps memory bounded and results reproducible.  The atom memo holds only
+    keys already in the pi memo, so `memo_cap` bounds both.
     """
 
     def __init__(self, group: Group, memo_cap: int = DEFAULT_MEMO_CAP):
@@ -193,6 +198,7 @@ class PiEngine:
         self._memo: dict[bytes, int] = {bytes(group.order): 1 << 0}
         self._atoms: dict[bytes, bool] = {}
         self._central = center_of(group).members
+        self._coset: list[int] | None = None  # c -> mask of c G', at first use
 
     def memo_size(self) -> int:
         return len(self._memo)
@@ -205,8 +211,7 @@ class PiEngine:
         got = memo.get(key)
         if got is not None:
             return got
-        group = self.group
-        mul, mul_mask = group.mul, group.mul_mask
+        mul = self.group.mul
         nc = bytearray(key)
         z = 0
         for g in self._central:
@@ -214,41 +219,79 @@ class PiEngine:
                 z = mul[z][g]
             nc[g] = 0
         nc_key = bytes(nc)
-        stack = [nc]
-        while stack:
-            cur = stack[-1]
-            ck = bytes(cur)
-            if ck in memo:
-                stack.pop()
-                continue
-            mask = 0
-            missing = False
-            for g, e in enumerate(cur):
-                if e:
-                    cur[g] = e - 1
-                    sub = bytes(cur)
-                    cur[g] = e
-                    sm = memo.get(sub)
-                    if sm is None:
-                        stack.append(bytearray(sub))
-                        missing = True
-                    else:
-                        mask |= mul_mask(sm, g)
-            if not missing:
-                if len(memo) >= self.memo_cap:
-                    raise ResourceLimitError(
-                        f"product-set memo exceeded cap {self.memo_cap}")
-                memo[ck] = mask
-                stack.pop()
-        got = memo[nc_key]
+        got = memo.get(nc_key)
+        if got is None:
+            got = self._saturate(nc, nc_key)
         if nc_key != key:
             if z:
-                got = mul_mask(got, z)
-            if len(memo) >= self.memo_cap:
-                raise ResourceLimitError(
-                    f"product-set memo exceeded cap {self.memo_cap}")
-            memo[key] = got
+                got = self.group.mul_mask(got, z)
+            self._store(key, got)
         return got
+
+    def _store(self, key: bytes, mask: int) -> None:
+        if len(self._memo) >= self.memo_cap:
+            raise ResourceLimitError(
+                f"product-set memo exceeded cap {self.memo_cap}")
+        self._memo[key] = mask
+
+    def _saturate(self, top: bytearray, top_key: bytes) -> int:
+        """pi of the non-central multiset `top`, not yet in the memo.
+
+        Every ordering of M multiplies into the coset c G' of the commutator
+        subgroup, c the product of M's terms in slot order, and M - g lies
+        in c g^-1 G'.  A node collects pi(M - g) * g over its children,
+        those already in the memo first, then descends into the missing
+        ones in slot order, and stops as soon as it holds all of c G'; so
+        every stored mask is exact.  An explicit stack of
+        [multiset, key, c, mask, missing slots] frames keeps deep keys off
+        the Python call stack."""
+        group = self.group
+        mul, inv, mul_mask = group.mul, group.inv, group.mul_mask
+        memo, coset = self._memo, self._coset
+        if coset is None:
+            comm = commutator_subgroup(group).mask()
+            coset = self._coset = [mul_mask(comm, c) for c in range(group.order)]
+        c = 0
+        for g, e in enumerate(top):
+            for _ in range(e):
+                c = mul[c][g]
+        stack = [[top, top_key, c, None, None]]
+        while stack:
+            frame = stack[-1]
+            cur, ck, c, mask, todo = frame
+            full = coset[c]
+            if todo is None:
+                mask, todo = 0, []
+                for g, e in enumerate(cur):
+                    if e:
+                        cur[g] = e - 1
+                        sm = memo.get(bytes(cur))
+                        cur[g] = e
+                        if sm is None:
+                            todo.append(g)
+                        else:
+                            mask |= mul_mask(sm, g)
+                            if mask == full:
+                                break
+                todo.reverse()
+                frame[4] = todo
+            while todo and mask != full:
+                g = todo[-1]
+                e = cur[g]
+                cur[g] = e - 1
+                sub = bytes(cur)
+                cur[g] = e
+                sm = memo.get(sub)
+                if sm is None:
+                    frame[3] = mask
+                    stack.append([bytearray(sub), sub, mul[c][inv[g]], None, None])
+                    break
+                mask |= mul_mask(sm, g)
+                todo.pop()
+            else:
+                self._store(ck, mask)
+                stack.pop()
+        return memo[top_key]
 
     def pi(self, seq: Sequence) -> ProductSet:
         return ProductSet(self.group, self.pi_mask(seq.exps))

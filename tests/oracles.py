@@ -7,7 +7,9 @@ and checks only how the atom scan finds its candidates.  Likewise
 `oracle_zero_class` and `oracle_recognition` keep `ClassSemigroup.class_of`
 and `PiEngine.is_product_one`, one `Sequence` at a time, and check only how
 the class semigroup's sweeps carry their walk; `oracle_semigroup_davenport`
-recounts every sub-multiset sum of every frontier candidate.
+recounts every sub-multiset sum of every frontier candidate; and
+`oracle_pi_lattice` keeps the central split of `PiEngine.pi_mask` but fills
+the whole sub-multiset lattice, with no stop at the commutator coset.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import comb
 from prodone import classsemi
 from prodone.errors import BudgetExceededError, ValidationFailure
 from prodone.factor import orbit_getters, small_davenport
-from prodone.groups import Group, closure_of
+from prodone.groups import Group, center_of, closure_of
 from prodone.invariants import SemigroupDavenport
 from prodone.sequences import (
     PiEngine,
@@ -52,6 +54,48 @@ def oracle_pi(seq: Sequence) -> set[int]:
 
     walk(0, len(seq))
     return out
+
+
+def oracle_pi_lattice(group: Group, key: bytes, memo: dict[bytes, int]) -> int:
+    """pi(key) by the full-lattice DP: pi(S_nc) * z as in `PiEngine.pi_mask`,
+    with P(M) = union over g in supp(M) of P(M - g) * g stored in `memo` for
+    every sub-multiset M of S_nc.  `memo` must hold the empty key, which
+    maps to 1 << 0; it gains S_nc's whole lattice and the full key."""
+    got = memo.get(key)
+    if got is not None:
+        return got
+    mul, mul_mask = group.mul, group.mul_mask
+    nc = bytearray(key)
+    z = 0
+    for g in center_of(group).members:
+        for _ in range(nc[g]):
+            z = mul[z][g]
+        nc[g] = 0
+    stack = [nc]
+    while stack:
+        cur = stack[-1]
+        ck = bytes(cur)
+        if ck in memo:
+            stack.pop()
+            continue
+        mask = 0
+        missing = False
+        for g, e in enumerate(cur):
+            if e:
+                cur[g] = e - 1
+                sub = bytes(cur)
+                cur[g] = e
+                sm = memo.get(sub)
+                if sm is None:
+                    stack.append(bytearray(sub))
+                    missing = True
+                else:
+                    mask |= mul_mask(sm, g)
+        if not missing:
+            memo[ck] = mask
+            stack.pop()
+    got = memo[key] = mul_mask(memo[bytes(nc)], z)
+    return got
 
 
 def oracle_subsequence_products(seq: Sequence) -> set[int]:

@@ -399,6 +399,14 @@ def test_d12_class_semigroup_passes_every_validator(d12_semigroup):
     assert d12_semigroup.provenance["class_counts"] == [24, 46, 52, 52]
 
 
+def test_c2xd6_class_semigroup_passes_every_validator():
+    """The other presentation of D12 builds and validates on its own too."""
+    semi = build(parse_group("C2xD6"))
+    assert semi.n_classes == 52
+    assert len(semi.units()) == 2
+    assert semi.provenance["class_counts"] == [24, 46, 52, 52]
+
+
 def test_d12_semigroup_davenport(d12_semigroup):
     """The frontier that carries its subset sums reaches d(C) of the
     52-class table."""

@@ -67,6 +67,11 @@ def test_lengths_command(capsys):
     assert "factorizations: 2" in out
 
 
+def test_multiplicity_above_a_byte_is_a_computation_error(capsys):
+    assert run(["lengths", "D6", "--seq", "a^300", "--no-cache"]) == 1
+    assert capsys.readouterr().err.startswith("error: multiplicities")
+
+
 def test_unknown_group_is_computation_error(capsys):
     assert run(["davenport", "Z99", "--no-cache"]) == 1
     assert "error" in capsys.readouterr().err

@@ -5,9 +5,14 @@ import random
 
 import pytest
 
-from oracles import oracle_atoms, oracle_pi, oracle_subsequence_products
+from oracles import (
+    oracle_atoms,
+    oracle_pi,
+    oracle_pi_lattice,
+    oracle_subsequence_products,
+)
 from prodone.errors import ResourceLimitError, SequenceError
-from prodone.groups import center_of, parse_group
+from prodone.groups import center_of, commutator_subgroup, parse_group
 from prodone.sequences import (
     PiEngine,
     Sequence,
@@ -174,10 +179,15 @@ def test_resource_cap_is_a_hard_error(groups):
 
 def test_engine_memo_cap_and_central_split(groups):
     q8, c6, d8 = groups["Q8"], groups["C6"], groups["D8"]
-    # the non-central part of `big` alone has 7^6 sub-multisets
+    # the non-central part of `big` has 7^6 sub-multisets, but the DP stops
+    # at each node that fills its commutator coset: 43 entries beside the
+    # empty key, so a cap just below that count is a hard error
     big = bytes([6] * 8)
+    engine = PiEngine(q8)
+    engine.pi_mask(big)
+    assert engine.memo_size() == 44
     with pytest.raises(ResourceLimitError):
-        PiEngine(q8, memo_cap=1000).pi_mask(big)
+        PiEngine(q8, memo_cap=40).pi_mask(big)
 
     # abelian: every term is central, so the memo gains only the query
     engine = PiEngine(c6)
@@ -200,6 +210,61 @@ def test_engine_memo_cap_and_central_split(groups):
     s = s_nc.concat(Sequence.from_terms(d8, [0, 0, r, r, r]))
     assert engine.pi_mask(s.exps) == d8.mul_mask(pi_nc, r)
     assert engine.memo_size() == before + 1
+
+
+def test_deep_key_saturates_without_recursion(groups):
+    """Multiplicities up to 255: the DP fills the coset of the key in a
+    couple of thousand entries, on an explicit stack; the memo cap still
+    stops it."""
+    d6 = groups["D6"]
+    key = bytes([0] + [255] * 5)
+    c = 0
+    for g, e in enumerate(key):
+        for _ in range(e):
+            c = d6.mul[c][g]
+    comm = commutator_subgroup(d6).mask()
+    engine = PiEngine(d6)
+    assert engine.pi_mask(key) == d6.mul_mask(comm, c)
+    assert engine.memo_size() < 2000
+    with pytest.raises(ResourceLimitError):
+        PiEngine(d6, memo_cap=1000).pi_mask(key)
+
+
+def _random_key(rng, order, length):
+    exps = [0] * order
+    for _ in range(length):
+        exps[rng.randrange(order)] += 1
+    return bytes(exps)
+
+
+@pytest.mark.parametrize("spec", ["D6", "D8", "Q8", "D10", "D12", "C2xD6"])
+def test_saturating_pi_matches_the_lattice_dp(spec):
+    """pi_mask and every memo entry it leaves equal the full-lattice DP on
+    seeded keys of length <= 14; on keys of length 14 a fresh engine stores
+    strictly fewer entries than the lattice."""
+    group = parse_group(spec)
+    rng = random.Random(f"saturate-{spec}")
+    engine = PiEngine(group)
+    lattice = {bytes(group.order): 1}
+    for _ in range(150):
+        key = _random_key(rng, group.order, rng.randint(0, 14))
+        assert engine.pi_mask(key) == oracle_pi_lattice(group, key, lattice)
+    assert all(lattice[k] == mask for k, mask in engine._memo.items())
+    for _ in range(3):
+        key = _random_key(rng, group.order, 14)
+        fresh, own = PiEngine(group), {bytes(group.order): 1}
+        assert fresh.pi_mask(key) == oracle_pi_lattice(group, key, own)
+        assert fresh.memo_size() < len(own)
+
+
+def test_multiplicities_above_a_byte_are_rejected(groups):
+    d6 = groups["D6"]
+    assert Sequence(d6, (255,) + (0,) * 5).length == 255
+    for exps in [(256,) + (0,) * 5, (0, -1, 0, 0, 0, 0)]:
+        with pytest.raises(SequenceError):
+            Sequence(d6, exps)
+    with pytest.raises(SequenceError):
+        Sequence.from_literal(d6, "a^200,a^100")
 
 
 def test_engine_memo_is_deterministic(groups):
