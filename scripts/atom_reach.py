@@ -13,8 +13,8 @@ is pinned in ``tests/test_checks.py``.
 
 prints one line per row and writes the values, timings and peak RSS to
 PATH (default: the "reach" entry of BENCH_split_atoms.json, whose other
-entries are kept).  On a 2-core x86-64 machine D18 takes about 12 s and
-125 MB, D20 about 5 s and 70 MB, and P D18 about 2.5 s and 31 MB.
+entries are kept).  On a 2-core x86-64 machine D18 takes about 5 s and
+85 MB, D20 about 3 s and 50 MB, and P D18 about 1.1-1.5 s and 28 MB.
 """
 
 from __future__ import annotations

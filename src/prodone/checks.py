@@ -6,19 +6,22 @@ witness; a True verdict carries either a reason valid for the whole class of
 groups or an exhausted complete search; anything else is reported as unknown
 up to the bound actually searched.
 
-The two-atom splitting scan walks the atoms of `factor.canonical_atoms`
-(see `factor` for the atom test, the split-generated scan and the orbit
-reduction) and tests their splits: a sequence is a product of two atoms when
+The two-atom splitting scan runs on the splits of the atom scan,
+`factor.atom_splits` (see `factor` for the atom test, the split-generated
+scan and the orbit reduction): a sequence is a product of two atoms when
 some split (T, B - T) from `sequences.pivot_splits` has two atom parts.
 Whether a split needs three atoms is invariant under Aut(G), so each split
-is tested once per orbit, on its least member (`factor.least_image`), and
-every split of the orbit takes that verdict.  The scan yields the canonical
-atoms in the order of a full scan of all multisets, by length and then
-lexicographically, so the first counterexample of the full scan is the least
-of its orbit, and it is the first atom with a bad split met here too; the
-witness is reported from the raw split met first, as the unreduced
+is tested once per orbit, on the least member the scan found for it, and
+not at all when that member is an atom; every split of the orbit takes
+that verdict.  The scan yields the splits of the canonical atoms in the
+order of a full scan of all multisets, by length and then
+lexicographically, so the first counterexample of the full scan is the
+least of its orbit, and it is the first atom with a bad split met here too;
+the witness is reported from the raw split met first, as the unreduced
 exhaustive scan finds it.  The scan stops at the first length without an
-atom; the budget counts the distinct splits it forms to find the atoms.
+atom, or past the length bound; the budget counts the distinct splits it
+forms, those of the atoms at the bound included, bar the splits longer than
+|G| >= D(G), which are never atoms.
 
 Membership of a sequence S in the quotient group of the product-one monoid
 is decided by a coset test: S belongs to it exactly when every product of S
@@ -33,13 +36,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import ValidationFailure
-from .factor import (
-    FactorizationContext,
-    canonical_atoms,
-    is_atom,
-    least_image,
-    orbit_getters,
-)
+from .factor import FactorizationContext, atom_splits, is_atom
 from .groups import Group, analyze
 from .sequences import (
     PiEngine,
@@ -76,8 +73,10 @@ class Verdict:
 
 def _two_atom_bound_ok(key: bytes, engine: PiEngine) -> bool:
     """Whether the sequence is an atom or a product of exactly two atoms."""
+    pi = engine.pi_mask
     return engine.is_atom(key) or any(
-        any(comp) and engine.is_atom(sub) and engine.is_atom(comp)
+        any(comp) and pi(sub) & 1 and pi(comp) & 1
+        and engine.is_atom(sub) and engine.is_atom(comp)
         for sub, comp in pivot_splits(key))
 
 
@@ -86,52 +85,45 @@ def property_P(group: Group, engine: Optional[PiEngine] = None,
                budget: int = PROPERTY_P_BUDGET) -> Verdict:
     """Split one term of an atom into two factors; the result must factor
     into at most two atoms.  Scans atoms by increasing length and stops at
-    the first counterexample.  Each split is tested on the least member of
-    its Aut(G)-orbit, once per orbit.  Every distinct split the atom scan
-    forms counts against the budget, the ones that are not the least of
-    their Aut(G)-orbit included."""
+    the first counterexample.  The splits are those of the atom scan,
+    `factor.atom_splits`, up to atoms of length max_len; each is tested on
+    the least member of its Aut(G)-orbit, once per orbit, and only when
+    that member is not an atom.  Every distinct split the scan forms counts
+    against the budget, the ones that are not the least of their
+    Aut(G)-orbit included."""
     engine = engine or PiEngine(group)
     n = group.order
     cap = max_len if max_len is not None else n
-    everything = tuple(range(n))
-    getters = orbit_getters(group, everything)
-    ok_cache: dict[bytes, bool] = {}           # by raw split
     orbit_ok: dict[tuple[int, ...], bool] = {}  # by least orbit member
-    for exps in canonical_atoms(group, everything, engine, budget, cap):
-        atom_seq = Sequence(group, exps)
-        for g in atom_seq.support():
-            for h1 in range(n):
-                h2 = group.mul[group.inv[h1]][g]
-                nxt = list(exps)
-                nxt[g] -= 1
-                nxt[h1] += 1
-                nxt[h2] += 1
-                nkey = bytes(nxt)
-                ok = ok_cache.get(nkey)
-                if ok is None:
-                    least = least_image(nkey, getters)
-                    ok = orbit_ok.get(least)
-                    if ok is None:
-                        ok = _two_atom_bound_ok(bytes(least), engine)
-                        orbit_ok[least] = ok
-                    ok_cache[nkey] = ok
-                if not ok:
-                    split_seq = Sequence(group, tuple(nxt))
-                    ctx = FactorizationContext(group, None, engine)
-                    lengths = ctx.lengths(split_seq).lengths
-                    return Verdict(
-                        property="two-atom-splitting",
-                        holds=False,
-                        reason="splitting a term yields a sequence that "
-                               "needs at least three atoms",
-                        bound=cap,
-                        witness={
-                            "atom": atom_seq,
-                            "term": group.name(g),
-                            "factors": (group.name(h1), group.name(h2)),
-                            "split_sequence": split_seq,
-                            "split_lengths": list(lengths),
-                        })
+    for exps, g, h1, least, atom in atom_splits(group, tuple(range(n)),
+                                                engine, budget, cap):
+        if atom:
+            continue
+        ok = orbit_ok.get(least)
+        if ok is None:
+            ok = orbit_ok[least] = _two_atom_bound_ok(bytes(least), engine)
+        if not ok:
+            h2 = group.mul[group.inv[h1]][g]
+            split = list(exps)
+            split[g] -= 1
+            split[h1] += 1
+            split[h2] += 1
+            split_seq = Sequence(group, tuple(split))
+            ctx = FactorizationContext(group, None, engine)
+            lengths = ctx.lengths(split_seq).lengths
+            return Verdict(
+                property="two-atom-splitting",
+                holds=False,
+                reason="splitting a term yields a sequence that "
+                       "needs at least three atoms",
+                bound=cap,
+                witness={
+                    "atom": Sequence(group, exps),
+                    "term": group.name(g),
+                    "factors": (group.name(h1), group.name(h2)),
+                    "split_sequence": split_seq,
+                    "split_lengths": list(lengths),
+                })
     complete = cap >= n
     return Verdict(
         property="two-atom-splitting",

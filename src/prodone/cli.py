@@ -55,59 +55,72 @@ def _add_common(p: argparse.ArgumentParser, dot_flag: bool = False) -> None:
     p.add_argument("--no-cache", action="store_true", help="disable the result cache")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="prodone",
-        description="structure of the monoid of product-one sequences over a finite group")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("group", help="validate and analyze a group")
-    _add_common(p)
-
-    p = sub.add_parser("atoms", help="enumerate the atoms (minimal product-one sequences)")
-    _add_common(p)
-
-    p = sub.add_parser("davenport", help="small and large Davenport constants")
-    _add_common(p)
-
-    p = sub.add_parser("lengths", help="set of factorization lengths of a sequence")
+def _lengths_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--seq", required=True, help="sequence literal, e.g. a^2,b^2")
     p.add_argument("--count", action="store_true", help="also count distinct factorizations")
 
-    p = sub.add_parser("class-semigroup", help="the class semigroup of the product-one monoid")
-    _add_common(p, dot_flag=True)
 
-    p = sub.add_parser("unions", help="union of sets of lengths containing k")
+def _unions_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("-k", type=_positive_int, required=True, dest="k")
 
-    p = sub.add_parser("delta", help="set of distances up to a length bound")
-    _add_common(p)
 
-    p = sub.add_parser("omega", help="divisibility localization invariant bracket")
-    _add_common(p)
-
-    p = sub.add_parser("semigroup-davenport", help="Davenport constants of the class semigroup")
-    _add_common(p)
-
-    p = sub.add_parser("check", help="structural property verdict")
+def _check_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--property", required=True, dest="prop",
                    choices=["p", "seminormal", "krull"])
 
-    p = sub.add_parser("atlas", help="summary battery over several groups")
+
+def _atlas_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("groups", nargs="+", help="group specs")
     p.add_argument("--json", metavar="PATH")
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--no-cache", action="store_true")
 
-    for name in ("class-semigroup", "omega", "semigroup-davenport", "atlas"):
-        sub.choices[name].add_argument("--seed", type=int, default=0,
-                                       help="RNG seed for validation sampling")
-    for name in ("delta", "check"):
-        sub.choices[name].add_argument("--bound", type=_positive_int, default=None,
-                                       help="search bound")
+
+# subcommand -> (help, the arguments it takes), in help order
+_SUBCOMMANDS = {
+    "group": ("validate and analyze a group", _add_common),
+    "atoms": ("enumerate the atoms (minimal product-one sequences)", _add_common),
+    "davenport": ("small and large Davenport constants", _add_common),
+    "lengths": ("set of factorization lengths of a sequence", _lengths_args),
+    "class-semigroup": ("the class semigroup of the product-one monoid",
+                        lambda p: _add_common(p, dot_flag=True)),
+    "unions": ("union of sets of lengths containing k", _unions_args),
+    "delta": ("set of distances up to a length bound", _add_common),
+    "omega": ("divisibility localization invariant bracket", _add_common),
+    "semigroup-davenport": ("Davenport constants of the class semigroup", _add_common),
+    "check": ("structural property verdict", _check_args),
+    "atlas": ("summary battery over several groups", _atlas_args),
+}
+_TAKES_SEED = ("class-semigroup", "omega", "semigroup-davenport", "atlas")
+_TAKES_BOUND = ("delta", "check")
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone when it names
+    one: a call parses its arguments with only its own subparser built,
+    under the usage line of the full parser.  Help, a missing or an unknown
+    command get the full parser."""
+    ap = argparse.ArgumentParser(
+        prog="prodone",
+        description="structure of the monoid of product-one sequences over a finite group")
+    alone = command in _SUBCOMMANDS
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_SUBCOMMANDS) + "}" if alone else None)
+    for name, (help_, add_args) in _SUBCOMMANDS.items():
+        if alone and name != command:
+            continue
+        p = sub.add_parser(name, help=help_)
+        add_args(p)
+        if name in _TAKES_SEED:
+            p.add_argument("--seed", type=int, default=0,
+                           help="RNG seed for validation sampling")
+        if name in _TAKES_BOUND:
+            p.add_argument("--bound", type=_positive_int, default=None,
+                           help="search bound")
     return ap
 
 
@@ -405,8 +418,8 @@ def _run_atlas(args) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command == "atlas":
             return _run_atlas(args)

@@ -13,21 +13,25 @@ The result A is product-one, and an atom: if A = UV with U, V non-empty and
 product-one, say t in U, then s_{l-1}, s_l in place of t in a product-one
 ordering of U make U - t + s_{l-1} + s_l product-one, and S would split.  So
 every atom of length l is a split A - t + h + h^{-1}t (t a term of A, h in
-H) of an atom A of length l - 1.  The one atom scan, `canonical_atoms`,
-builds the atoms level by level from the identity and stops at the first
-length without an atom: a longer atom would merge down to one of that
-length.  The merged term may leave a support set that is not a subgroup, so
-atoms over a support grow over the subgroup H it generates and are kept when
-their support lies in the set.
+H) of an atom A of length l - 1.  The one atom scan, the level loop
+`atom_splits`, builds the atoms level by level from the identity and stops
+at the first length without an atom: a longer atom would merge down to one
+of that length.  The merged term may leave a support set that is not a
+subgroup, so atoms over a support grow over the subgroup H it generates and
+are kept when their support lies in the set.
 
 The scan is orbit-reduced: the automorphisms of G that fix the support set
 fix H and map atoms and splits to atoms and splits, so each level keeps the
 least (lexicographically) member of each orbit, and the splits of those reach
-every orbit of the next level.  The budget counts the distinct splits formed.
-The enumeration expands each canonical atom to its whole orbit;
-`checks.property_P` tests one split per orbit, on its least member
-(`least_image`), since whether a split needs three atoms is invariant under
-Aut(G), and it reports the first failing split the full scan meets.
+every orbit of the next level.  The least member comes from `least_image`,
+which walks those automorphisms as a prefix trie (`orbit_trie`) and keeps,
+position run by position run, only the branches that reach the running
+minimum.  The budget counts the distinct splits formed.  The loop yields
+every distinct split it forms, with its least orbit member and that member's
+atom verdict: `canonical_atoms` keeps the atoms, which the enumeration
+expands to their whole orbits, and `checks.property_P` tests the splits
+themselves, one per orbit, since whether a split needs three atoms is
+invariant under Aut(G).
 """
 
 from __future__ import annotations
@@ -91,17 +95,74 @@ def orbit_getters(group: Group, sup: tuple[int, ...]) -> list[itemgetter]:
     """One getter per automorphism other than the identity that fixes the
     support set; applied to an exponent vector over G, it returns the tuple
     of an image multiset."""
+    return [itemgetter(*p) for p in _fixing_automorphisms(group, sup)
+            if p != tuple(range(group.order))]
+
+
+def _fixing_automorphisms(group: Group,
+                          sup: tuple[int, ...]) -> list[tuple[int, ...]]:
     inside = set(sup)
-    perms = {aut for aut in group.automorphisms()
-             if all(aut[g] in inside for g in sup)}
-    perms.discard(tuple(range(group.order)))
-    return [itemgetter(*p) for p in sorted(perms)]
+    return sorted({aut for aut in group.automorphisms()
+                   if all(aut[g] in inside for g in sup)})
 
 
-def least_image(key: bytes, getters: list[itemgetter]) -> tuple[int, ...]:
+def orbit_trie(group: Group, sup: tuple[int, ...]) -> tuple:
+    """The automorphisms of G that fix the support set, as a prefix trie
+    over the positions of H = <sup> other than the identity (which every
+    automorphism fixes), for `least_image`.
+
+    A node is (run getter, children) and a leaf is (None, image getter).
+    The nodes of one depth read the same run of positions: a run ends where
+    some node branches, so a chain of single children is one getter.  Under
+    a node, every automorphism reads the same terms of a key on its run.  A
+    leaf holds the getter of the whole image of one of its automorphisms
+    (they agree on H, and on the zero terms outside it)."""
+    perms = _fixing_automorphisms(group, sup)
+    positions = [g for g in sorted(closure_of(group, sup)) if g]
+    if len(perms) == 1 or not positions:
+        return ((None, tuple),)
+    cuts = [0]
+    seen = len({p[positions[0]] for p in perms})
+    for depth in range(1, len(positions)):
+        prefixes = {tuple(p[q] for q in positions[:depth + 1]) for p in perms}
+        if len(prefixes) > seen:
+            cuts.append(depth)
+            seen = len(prefixes)
+    cuts.append(len(positions))
+
+    def nodes(members: list, level: int) -> tuple:
+        run = positions[cuts[level]:cuts[level + 1]]
+        groups: dict[tuple[int, ...], list] = {}
+        for p in members:
+            groups.setdefault(tuple(p[q] for q in run), []).append(p)
+        if level + 2 == len(cuts):
+            return tuple((None, itemgetter(*grp[0])) for grp in groups.values())
+        return tuple((itemgetter(*reads), nodes(grp, level + 1))
+                     for reads, grp in groups.items())
+
+    return nodes(perms, 0)
+
+
+def least_image(key: bytes, trie: tuple) -> tuple[int, ...]:
     """The least (lexicographically) member of the orbit of an exponent
-    vector under the getters of `orbit_getters`."""
-    return min([tuple(key), *[get(key) for get in getters]])
+    vector over H under the trie of `orbit_trie`: depth by depth, only the
+    branches whose run reads the least terms are kept, and the least image
+    of the leaves left is the answer."""
+    nodes = trie
+    while nodes[0][0] is not None:
+        if len(nodes) == 1:
+            nodes = nodes[0][1]
+            continue
+        reads = [run(key) for run, _ in nodes]
+        low = min(reads)
+        if reads.count(low) == 1:
+            nodes = nodes[reads.index(low)][1]
+        else:
+            nodes = [child for (_, children), got in zip(nodes, reads)
+                     if got == low for child in children]
+    if len(nodes) == 1:
+        return nodes[0][1](key)
+    return min([image(key) for _, image in nodes])
 
 
 def _support_indices(group: Group, support) -> tuple[int, ...]:
@@ -160,52 +221,75 @@ def enumerate_atoms(group: Group, support: Optional[Iterable[int]] = None,
 
 
 def canonical_atoms(group: Group, sup: tuple[int, ...], engine: PiEngine,
-                    budget: int, max_len: int) -> Iterator[tuple[int, ...]]:
+                    budget: int, max_len: int) -> list[tuple[int, ...]]:
     """The atoms over the support of length <= max_len that are the least of
     their orbit under the automorphisms fixing the support set, as exponent
-    tuples over G, by length, then lexicographically.  Level l holds those of
-    length l over H = <sup>, found among the splits of level l - 1; the scan
-    stops at the first empty level, or at length |H| >= D(H).  Every distinct
-    split counts against the budget, the ones least of no orbit included."""
+    tuples over G, by length, then lexicographically: the identity and the
+    least members that `atom_splits` finds to be atoms."""
+    n = group.order
+    found = {(1,) + (0,) * (n - 1)}  # the identity, the one atom of length 1
+    for _, _, _, least, atom in atom_splits(group, sup, engine, budget,
+                                            max_len - 1):
+        if atom:
+            found.add(least)
+    outside = [g for g in range(n) if g not in sup]
+    return sorted((a for a in found if not any(a[g] for g in outside)),
+                  key=lambda a: (sum(a), a))
+
+
+def atom_splits(group: Group, sup: tuple[int, ...], engine: PiEngine,
+                budget: int, max_len: int
+                ) -> Iterator[tuple[tuple[int, ...], int, int,
+                                    tuple[int, ...], bool]]:
+    """The level loop of the atom scan: each distinct split
+    A - t + h + h^{-1}t of each canonical atom A of length l <= max_len over
+    H = <sup>, as (A, t, h, least member of the split's orbit, whether that
+    member is an atom).  Level 1 is the identity; level l + 1 holds the
+    least members that are atoms, in order.  The atoms go by length, then
+    lexicographically, and the splits of one atom by t, then h; a split met
+    before in the level is not yielded again.  The scan stops after the
+    first level without an atom, or at l = |H| >= D(H), whose splits are
+    yielded as non-atoms without a test.  Every other distinct split counts
+    against the budget, the ones least of no orbit included."""
     n = group.order
     mul, inv = group.mul, group.inv
-    getters = orbit_getters(group, sup)
+    trie = orbit_trie(group, sup)
     span = sorted(closure_of(group, sup))
-    outside = [g for g in range(n) if g not in sup]
-    max_len = min(max_len, len(span))
-    level = [(1,) + (0,) * (n - 1)]  # the identity, the one atom of length 1
+    top = len(span)
+    level = [(1,) + (0,) * (n - 1)]
     candidates = 0
-    for length in range(1, max_len + 1):
-        if length > 1:
-            seen: set[bytes] = set()
-            found: dict[tuple[int, ...], bool] = {}
-            for atom in level:
-                for t, e in enumerate(atom):
-                    if not e:
+    for length in range(1, min(max_len, top) + 1):
+        tested = length < top  # a longer split exceeds |H| >= D(H)
+        seen: set[bytes] = set()
+        found: dict[tuple[int, ...], bool] = {}
+        for atom in level:
+            for t, e in enumerate(atom):
+                if not e:
+                    continue
+                for h in span:
+                    split = bytearray(atom)
+                    split[t] -= 1
+                    split[h] += 1
+                    split[mul[inv[h]][t]] += 1
+                    key = bytes(split)
+                    if key in seen:
                         continue
-                    for h in span:
-                        split = bytearray(atom)
-                        split[t] -= 1
-                        split[h] += 1
-                        split[mul[inv[h]][t]] += 1
-                        key = bytes(split)
-                        if key in seen:
-                            continue
-                        seen.add(key)
+                    seen.add(key)
+                    if tested:
                         candidates += 1
                         if candidates > budget:
                             raise BudgetExceededError(
-                                f"atom scan exceeded {budget} candidates at "
-                                f"length {length} of {max_len}")
-                        least = least_image(key, getters)
-                        if least not in found:
-                            found[least] = engine.is_atom(bytes(least))
-            level = sorted(k for k, ok in found.items() if ok)
-            if not level:
-                return
-        for atom in level:
-            if not any(atom[g] for g in outside):
-                yield atom
+                                f"atom scan exceeded {budget} candidates "
+                                f"at length {length + 1}")
+                    least = least_image(key, trie)
+                    ok = found.get(least)
+                    if ok is None:
+                        ok = found[least] = (tested
+                                             and engine.is_atom(bytes(least)))
+                    yield atom, t, h, least, ok
+        level = sorted(k for k, ok in found.items() if ok)
+        if not level:
+            return
 
 
 def small_davenport(group: Group, engine: Optional[PiEngine] = None) -> int:

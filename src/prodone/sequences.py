@@ -322,10 +322,15 @@ class PiEngine:
         and product-one.  Memoised."""
         got = self._atoms.get(key)
         if got is None:
-            pi = self.pi_mask
-            got = bool(pi(key) & 1) and not any(
-                any(comp) and pi(sub) & 1 and pi(comp) & 1
-                for sub, comp in pivot_splits(key))
+            pi, known = self.pi_mask, self._memo.get
+            got = bool(pi(key) & 1)
+            if got:
+                # a non-empty product set is a non-zero mask, so 0 is a miss
+                for sub, comp in pivot_splits(key):
+                    if ((known(sub) or pi(sub)) & 1 and any(comp)
+                            and (known(comp) or pi(comp)) & 1):
+                        got = False
+                        break
             self._atoms[key] = got
         return got
 

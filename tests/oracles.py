@@ -9,7 +9,9 @@ and `PiEngine.is_product_one`, one `Sequence` at a time, and check only how
 the class semigroup's sweeps carry their walk; `oracle_semigroup_davenport`
 recounts every sub-multiset sum of every frontier candidate; and
 `oracle_pi_lattice` keeps the central split of `PiEngine.pi_mask` but fills
-the whole sub-multiset lattice, with no stop at the commutator coset.
+the whole sub-multiset lattice, with no stop at the commutator coset; and
+`oracle_least_image` keeps `factor.orbit_getters` but applies every
+automorphism to the key, with no trie.
 """
 
 from __future__ import annotations
@@ -150,6 +152,13 @@ def oracle_atoms(group: Group, max_len: int) -> list[Sequence]:
         if oracle_is_atom(seq):
             out.append(seq)
     return out
+
+
+def oracle_least_image(key: bytes, getters) -> tuple[int, ...]:
+    """The least (lexicographically) member of the orbit of an exponent
+    vector: the key and its image under every getter of
+    `factor.orbit_getters`."""
+    return min([tuple(key), *[get(key) for get in getters]])
 
 
 def lexicographic_atoms(group: Group, support=None) -> list[Sequence]:

@@ -17,7 +17,7 @@ from prodone.factor import (
     canonical_atoms,
     is_atom,
     least_image,
-    orbit_getters,
+    orbit_trie,
 )
 from prodone.groups import parse_group
 from prodone.sequences import PiEngine, Sequence
@@ -75,6 +75,25 @@ def test_property_p_budget_counts_skipped_candidates(groups, unreduce):
             property_P(d8, budget=candidates - 1)
 
 
+def test_bounded_property_p_counts_the_splits_it_tests(groups):
+    d8 = groups["D8"]
+    # the distinct splits of the canonical atoms of lengths 1 to 3, which
+    # the scan forms to hand them to the two-atom test
+    assert property_P(d8, max_len=3, budget=52).holds is None
+    with pytest.raises(BudgetExceededError):
+        property_P(d8, max_len=3, budget=51)
+
+
+@pytest.mark.parametrize("spec", ["D6", "D8", "Q8"])
+def test_bounded_property_p_matches_unreduced(groups, unreduce, spec):
+    group = groups[spec]
+    n = group.order
+    reduced = [property_P(group, max_len=m) for m in range(1, n + 1)]
+    assert [v.holds for v in reduced] == [None] * (n - 1) + [True]
+    unreduce()
+    assert [property_P(group, max_len=m) for m in range(1, n + 1)] == reduced
+
+
 def test_property_p_orbit_cache_matches_unreduced(groups, unreduce):
     """Testing one split per Aut(G)-orbit gives the verdict of testing every
     split, with a smaller pi memo."""
@@ -101,7 +120,7 @@ def test_two_atom_verdict_is_automorphism_invariant(groups, engines):
         n = group.order
         auts = group.automorphisms()
         assert len(auts) == n_auts
-        getters = orbit_getters(group, tuple(range(n)))
+        trie = orbit_trie(group, tuple(range(n)))
         for atom in canonical_atoms(group, tuple(range(n)), engine,
                                     10_000, n):
             for g in Sequence(group, atom).support():
@@ -119,7 +138,7 @@ def test_two_atom_verdict_is_automorphism_invariant(groups, engines):
                             image[sigma[x]] += e
                         images.append(tuple(image))
                         assert _two_atom_bound_ok(bytes(image), engine) == ok
-                    assert least_image(key, getters) == min(images)
+                    assert least_image(key, trie) == min(images)
 
 
 def test_property_p_over_the_automorphism_cap_is_unreduced(unreduce):

@@ -131,6 +131,20 @@ def test_seed_and_bound_only_where_they_are_used(command, flag, capsys):
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(_ARGV))
+def test_lazy_parser_matches_the_full_parser(command, capsys):
+    """A call builds only the subparser it names; it parses to the same
+    Namespace as the parser of every subcommand, under the same usage."""
+    lazy, full = build_parser(command), build_parser()
+    other = "group" if command != "group" else "atoms"
+    with pytest.raises(SystemExit):
+        lazy.parse_args(_ARGV[other])
+    assert "invalid choice" in capsys.readouterr().err
+    for argv in (_ARGV[command], _ARGV[command] + ["--no-cache"]):
+        assert lazy.parse_args(argv) == full.parse_args(argv)
+    assert lazy.format_usage() == full.format_usage()
+
+
 def test_class_semigroup_json_and_dot(capsys, tmp_path):
     jpath = tmp_path / "out.json"
     dpath = tmp_path / "out.dot"

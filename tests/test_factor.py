@@ -5,7 +5,12 @@ import random
 
 import pytest
 
-from oracles import lexicographic_atoms, oracle_atoms, oracle_lengths
+from oracles import (
+    lexicographic_atoms,
+    oracle_atoms,
+    oracle_least_image,
+    oracle_lengths,
+)
 from prodone.checks import _two_atom_bound_ok
 from prodone.errors import BudgetExceededError, SequenceError
 from prodone.factor import (
@@ -15,10 +20,12 @@ from prodone.factor import (
     enumerate_atoms,
     factorization_lengths,
     is_atom,
+    least_image,
     orbit_getters,
+    orbit_trie,
     small_davenport,
 )
-from prodone.groups import analyze, parse_group
+from prodone.groups import analyze, closure_of, parse_group
 from prodone.sequences import Sequence, iter_multisets
 
 
@@ -300,6 +307,55 @@ def test_orbit_getters_fix_the_support(groups):
     # a -> a^-1 moves a out of the set, b -> a^k b moves b out unless k = 0
     sup = tuple(d8.index_of(x) for x in ("1", "a", "b"))
     assert orbit_getters(d8, sup) == []
+
+
+@pytest.mark.parametrize("spec,names", [
+    ("D8", None), ("Q8", None), ("D14", None), ("D18", None),
+    ("C2xC2xC2", None),
+    ("D8", ("a", "a3", "b", "a2b")),
+    ("D8", ("a", "a3")),
+])
+def test_orbit_trie_gives_the_least_image(spec, names):
+    """The trie's pruned descent returns the least image of every key over
+    H = <sup>, as applying every automorphism does."""
+    group = parse_group(spec)
+    n = group.order
+    sup = tuple(range(n)) if names is None else tuple(
+        sorted(group.index_of(x) for x in names))
+    trie, getters = orbit_trie(group, sup), orbit_getters(group, sup)
+    span = sorted(closure_of(group, sup))
+    rng = random.Random(f"{spec} {names}")
+    for _ in range(400):
+        exps = [0] * n
+        for g in span:
+            exps[g] = rng.choice((0, 0, 0, 1, 1, 2, 3))
+        key = bytes(exps)
+        assert least_image(key, trie) == oracle_least_image(key, getters)
+
+
+def test_orbit_trie_collapses_chains(unreduce):
+    """Aut(D14) sends a to a^u and b to a^v b: six branches on the rotations,
+    each a chain read by one getter, then seven on the reflections.  The 168
+    automorphisms of C2xC2xC2 branch at each of three basis vectors."""
+    d14, c222 = parse_group("D14"), parse_group("C2xC2xC2")
+    trie = orbit_trie(d14, tuple(range(14)))
+    assert len(trie) == 6
+    assert all(len(node[1]) == 7 and all(leaf[0] is None for leaf in node[1])
+               for node in trie)
+    shape, nodes = [], orbit_trie(c222, tuple(range(8)))
+    while True:
+        shape.append(len(nodes))
+        if nodes[0][0] is None:
+            break
+        nodes = nodes[0][1]
+    assert shape == [7, 6, 4]
+    unreduce()
+    trie = orbit_trie(d14, tuple(range(14)))
+    assert len(trie) == 1 and trie[0][0] is None
+    key = bytes([0, 0, 2, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1])
+    assert least_image(key, trie) == tuple(key)
+    assert oracle_least_image(key, orbit_getters(d14, tuple(range(14)))) \
+        == tuple(key)
 
 
 def test_atom_enumeration_budget_counts_skipped_candidates(groups, unreduce):
