@@ -73,11 +73,16 @@ class Verdict:
 
 def _two_atom_bound_ok(key: bytes, engine: PiEngine) -> bool:
     """Whether the sequence is an atom or a product of exactly two atoms."""
-    pi = engine.pi_mask
-    return engine.is_atom(key) or any(
-        any(comp) and pi(sub) & 1 and pi(comp) & 1
-        and engine.is_atom(sub) and engine.is_atom(comp)
-        for sub, comp in pivot_splits(key))
+    if engine.is_atom(key):
+        return True
+    pi, known = engine.pi_mask, engine._memo.get
+    # a non-empty product set is a non-zero mask, so 0 is a miss
+    for sub, comp in pivot_splits(key):
+        if (any(comp) and (known(sub) or pi(sub)) & 1
+                and (known(comp) or pi(comp)) & 1
+                and engine.is_atom(sub) and engine.is_atom(comp)):
+            return True
+    return False
 
 
 def property_P(group: Group, engine: Optional[PiEngine] = None,

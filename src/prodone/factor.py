@@ -37,11 +37,11 @@ invariant under Aut(G).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter, sub as sub_
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceededError, SequenceError, ValidationFailure
-from .groups import Group, closure_of
+from .groups import Group, closure_of, mask_elements
 from .sequences import (
     PiEngine,
     Sequence,
@@ -346,6 +346,30 @@ def divides_in_B(u: Sequence, w: Sequence,
     return rest.length == 0 or engine.is_product_one(rest)
 
 
+def pack(exps) -> int:
+    """An exponent vector with slots 0..255 as one int of 16 bits per slot,
+    slot 0 most significant, so int order is the lexicographic order of the
+    vectors and slot-wise sums and differences are int `+` and `-`.  Raises
+    the ValueError of `bytes` on a slot outside 0..255."""
+    buf = bytearray(2 * len(exps))
+    buf[1::2] = bytes(exps)
+    return int.from_bytes(buf, "big")
+
+
+def unpack(x: int, n: int) -> bytes:
+    """The exponent vector of n slots that `pack` made x from."""
+    return x.to_bytes(2 * n, "big")[1::2]
+
+
+def guard_bits(n: int) -> int:
+    """Bit 15 of each of n packed slots.  With H = guard_bits(n) and
+    d = (x | H) - a for packed x and a, a <= x slot-wise exactly when
+    d & H == H, and then x - a is d ^ H: no slot borrows from the one
+    above while its own guard is set (Lamport, "Multiple byte processing
+    with full-word instructions", CACM 18(8), 1975)."""
+    return int.from_bytes(b"\x80\0" * n, "big")
+
+
 class FactorizationContext:
     """Shared memoization for sets of lengths over one group.
 
@@ -358,61 +382,68 @@ class FactorizationContext:
     one precomputed list per pivot; without one (one-off long sequences
     where full atom enumeration is out of reach) the parts holding g of
     `pivot_splits(B)` are tested for atomicity locally.
+
+    Keys are `pack`ed exponent vectors: the pivot of B is its most
+    significant non-zero slot, A | B and B - A come from one guarded
+    subtraction, and L(B) is memoised as a bitmask (bit l set when
+    l is in L(B)).  Every key in that memo is product-one, so the
+    product-one test of B - A reads it before the pi memo, and calls
+    `pi_mask` only when neither holds the key.
     """
 
     def __init__(self, group: Group, atoms: Optional[AtomSet] = None,
                  engine: Optional[PiEngine] = None):
         self.group = group
         self.engine = engine or PiEngine(group)
-        # by_pivot[g]: (exponents, support mask) of the atoms whose lowest
-        # term is g, in AtomSet order
-        self.by_pivot: Optional[list[list[tuple[bytes, int]]]] = None
+        n = group.order
+        self._guard = guard_bits(n)
+        # by_pivot[g]: the packed atoms whose lowest term is g, in AtomSet
+        # order
+        self.by_pivot: Optional[list[list[int]]] = None
         if atoms is not None:
-            self.by_pivot = [[] for _ in range(group.order)]
+            self.by_pivot = [[] for _ in range(n)]
             for a in atoms.atoms:
-                key = bytes(a.exps)
-                self.by_pivot[pivot(key)].append((key, a.support_mask()))
-        self._lengths: dict[bytes, frozenset[int]] = {}
+                self.by_pivot[pivot(bytes(a.exps))].append(pack(a.exps))
+        self._lengths: dict[int, int] = {0: 1}
 
     def lengths(self, seq: Sequence) -> LengthSet:
         if seq.length and not self.engine.is_product_one(seq):
             raise SequenceError("sequence is not product-one")
-        ls = self._lengths_of(bytes(seq.exps))
-        return LengthSet(seq, tuple(sorted(ls)))
+        return LengthSet(seq, mask_elements(self.length_mask(pack(seq.exps))))
 
-    def _lengths_of(self, key: bytes) -> frozenset[int]:
-        got = self._lengths.get(key)
+    def length_mask(self, x: int) -> int:
+        """L(B) as a bitmask, for the packed key x of a product-one B."""
+        memo = self._lengths
+        got = memo.get(x)
         if got is not None:
             return got
-        if not any(key):
-            out = frozenset((0,))
-            self._lengths[key] = out
-            return out
-        acc: set[int] = set()
-        for comp in self._atom_splits(key):
-            for l in self._lengths_of(comp):
-                acc.add(1 + l)
-        out = frozenset(acc)
-        self._lengths[key] = out
-        return out
-
-    def _atom_splits(self, key: bytes):
-        """Complements B - A of the atoms A | B holding the pivot of B, for
-        which B - A is product-one or empty."""
-        pi = self.engine.pi_mask
+        n = self.group.order
+        engine = self.engine
+        pi, known = engine.pi_mask, engine._memo.get
+        acc = 0
         if self.by_pivot is not None:
-            smask = _support_mask(key)
-            for aexps, amask in self.by_pivot[pivot(key)]:
-                if amask & ~smask:
+            guard = self._guard
+            for a in self.by_pivot[n - 1 - (x.bit_length() - 1 >> 4)]:
+                d = (x | guard) - a
+                if d & guard != guard:
                     continue
-                comp = _minus(key, aexps)
-                if comp is not None and (not any(comp) or pi(comp) & 1):
-                    yield comp
+                rest = d ^ guard
+                sub = memo.get(rest)
+                if sub is None:
+                    key = unpack(rest, n)
+                    # a product set is a non-zero mask, so 0 is a miss
+                    if not (known(key) or pi(key)) & 1:
+                        continue
+                    sub = self.length_mask(rest)
+                acc |= sub
         else:
-            for sub, comp in pivot_splits(key):
-                if (self.engine.is_atom(sub)
+            for sub, comp in pivot_splits(unpack(x, n)):
+                if (engine.is_atom(sub)
                         and (not any(comp) or pi(comp) & 1)):
-                    yield comp
+                    acc |= self.length_mask(pack(comp))
+        acc <<= 1
+        memo[x] = acc
+        return acc
 
     def count_factorizations(self, seq: Sequence) -> int:
         """Number of distinct factorizations (multisets of atoms).
@@ -431,52 +462,38 @@ class FactorizationContext:
             raise ValueError("counting factorizations requires an atom list")
         if seq.length and not self.engine.is_product_one(seq):
             raise SequenceError("sequence is not product-one")
-        return self._count(bytes(seq.exps), 0, {})
+        return self._count(pack(seq.exps), 0, {})
 
-    def _count(self, key: bytes, start: int,
-               memo: dict[tuple[bytes, int], int]) -> int:
+    def _count(self, x: int, start: int,
+               memo: dict[tuple[int, int], int]) -> int:
         # the memo is passed, not closed over, so no reference cycle keeps
         # it alive after the count returns
-        if not any(key):
+        if not x:
             return 1
-        got = memo.get((key, start))
+        got = memo.get((x, start))
         if got is not None:
             return got
-        g = pivot(key)
-        pi = self.engine.pi_mask
-        smask = _support_mask(key)
-        atoms = self.by_pivot[g]
+        n = self.group.order
+        low = x.bit_length() - 1 >> 4  # slot of the pivot g, from the right
+        g_slot = 1 << 16 * low
+        guard = self._guard
+        lengths = self._lengths
+        pi, known = self.engine.pi_mask, self.engine._memo.get
+        atoms = self.by_pivot[n - 1 - low]
         total = 0
         for idx in range(start, len(atoms)):
-            aexps, amask = atoms[idx]
-            if amask & ~smask:
+            d = (x | guard) - atoms[idx]
+            if d & guard != guard:
                 continue
-            comp = _minus(key, aexps)
-            if comp is None:
-                continue
-            if comp[g]:
-                if pi(comp) & 1:
-                    total += self._count(comp, idx, memo)
-            elif not any(comp) or pi(comp) & 1:
-                total += self._count(comp, 0, memo)
-        memo[(key, start)] = total
+            rest = d ^ guard
+            if rest not in lengths:
+                key = unpack(rest, n)
+                if not (known(key) or pi(key)) & 1:
+                    continue
+            # rest >= g_slot: B - A still holds g
+            total += self._count(rest, idx if rest >= g_slot else 0, memo)
+        memo[(x, start)] = total
         return total
-
-
-def _support_mask(key: bytes) -> int:
-    m = 0
-    for g, e in enumerate(key):
-        if e:
-            m |= 1 << g
-    return m
-
-
-def _minus(key: bytes, sub: bytes) -> Optional[bytes]:
-    """key - sub, or None when sub is not a sub-multiset of key."""
-    try:
-        return bytes(map(sub_, key, sub))
-    except ValueError:
-        return None
 
 
 def factorization_lengths(seq: Sequence, atoms: Optional[AtomSet] = None,

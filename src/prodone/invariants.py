@@ -2,20 +2,25 @@
 divisibility-localization invariant omega, and Davenport constants of finite
 commutative semigroups.
 
-Unions U_k collect every factorization length co-realizable with length k;
-they are computed by enumerating the distinct products of exactly k atoms,
-one per Aut(G)-orbit, and taking the union of their sets of lengths.  For
-even k the maximum rho_k = k*D/2 is certified without enumeration: the
-upper bound is forced by atom lengths (every atom in a 1-free product-one
+Unions and distances run on one sweep over the products of atoms,
+`_product_levels`: level j holds Z_j, the distinct products of j atoms, one
+per Aut(G)-orbit, each with its images under the automorphisms as `pack`ed
+exponent vectors, so extending by an atom is a slot-wise sum of images and
+the least image is the canonical key.  U_k is the union of L(B) over level
+k.  Delta reads L(B) = {j : B in Z_j} straight off the levels bounded at
+|B| <= N: B is a product of j atoms exactly when j is in L(B).  For even k
+the maximum rho_k = k*D/2 is certified without enumeration: the upper
+bound is forced by atom lengths (every atom in a 1-free product-one
 sequence has length >= 2) and the lower bound by an explicit
 machine-checked witness built from a maximal atom and its inverse sequence.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from operator import add
-from typing import Iterable, Optional
+from operator import add, itemgetter
+from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceededError, SequenceError, ValidationFailure
 from .factor import (
@@ -24,11 +29,14 @@ from .factor import (
     davenport,
     divides_in_B,
     enumerate_atoms,
+    _fixing_automorphisms,
+    guard_bits,
     is_atom,
-    orbit_getters,
+    pack,
+    unpack,
 )
 from .groups import Group, mask_elements
-from .sequences import PiEngine, Sequence, iter_multisets
+from .sequences import MAX_MULTIPLICITY, PiEngine, Sequence
 
 UNION_PRODUCT_BUDGET = 2_000_000
 SEMIGROUP_FRONTIER_BUDGET = 2_000_000
@@ -88,44 +96,67 @@ class GroupInvariants:
         return self._davenport
 
 
-def _atom_products(inv: GroupInvariants, k: int,
-                   budget: int) -> tuple[list[bytes], int]:
-    """The k-atom products Z_k, one Aut(G)-orbit representative each.
+def _product_levels(inv: GroupInvariants, budget: Optional[int] = None,
+                    max_total: Optional[int] = None
+                    ) -> Iterator[tuple[dict[int, tuple[list[int], int]],
+                                        int]]:
+    """The levels j = 1, 2, ... of Z_j, the products of j atoms (of total
+    length <= max_total, when given), up to the first empty level.
 
-    Returns the canonical products (each the least of its orbit's exponent
-    tuples) and |Z_k|, the sum of their orbit sizes.  Built level by level:
-    if sigma maps a product of j atoms to its canonical form c, it maps the
-    product with one more atom A to c + sigma(A), so extending only the
-    canonical products by every atom reaches every orbit of the next level.
-    Multiplying by a fixed atom is injective, so |Z_j| never shrinks with j,
-    and the budget is checked against the running |Z_j| of every level.
+    A level maps the least `pack`ed image of each Aut(G)-orbit to the
+    images of the orbit's first-reached member under one automorphism list,
+    identity first, and its total length; it comes with |Z_j|, the sum of
+    the orbit sizes.  If sigma maps P to Q, it maps P + A to Q + sigma(A),
+    so extending one member of each orbit by every atom reaches every orbit
+    of the next level, and the images of P + A are the sums of those of P
+    and A.  A product of j atoms of length <= max_total drops one atom to a
+    product of j - 1 atoms of smaller length, so the bounded levels extend
+    the bounded ones.  Multiplying by a fixed atom is injective, so |Z_j|
+    never shrinks with j, and ``budget`` bounds the running |Z_j| of every
+    level.
     """
     group = inv.group
-    getters = orbit_getters(group, tuple(range(group.order)))
-    atoms = [a.exps for a in inv.atoms.atoms]
-    level: list[tuple[int, ...]] = [(0,) * group.order]
-    size = 1
-    for _ in range(k):
-        nxt: dict[tuple[int, ...], None] = {}
-        seen: set[tuple[int, ...]] = set()
+    getters = [itemgetter(*p) for p in
+               _fixing_automorphisms(group, tuple(range(group.order)))]
+    atoms = inv.atoms.atoms
+    atom_images = [[pack(get(a.exps)) for get in getters] for a in atoms]
+    lengths = [a.length for a in atoms]  # ascending: atoms go by length
+    # canonical key -> (images, total length)
+    level: dict[int, tuple[list[int], int]] = {0: ([0] * len(getters), 0)}
+    j = 0
+    while level:
+        j += 1
+        nxt: dict[int, tuple[list[int], int]] = {}
+        seen: set[int] = set()
         size = 0
-        for prod in level:
-            for a in atoms:
-                key = tuple(map(add, prod, a))
-                if key in seen:
+        for images, total in level.values():
+            stop = (len(atoms) if max_total is None
+                    else bisect_right(lengths, max_total - total))
+            for a in range(stop):
+                prod = list(map(add, images, atom_images[a]))
+                if prod[0] in seen:
                     continue
-                seen.add(key)
-                orbit = {key, *(get(key) for get in getters)}
-                rep = min(orbit)
+                seen.add(prod[0])
+                rep = min(prod)
                 if rep in nxt:
                     continue
-                nxt[rep] = None
-                size += len(orbit)
-                if size > budget:
+                nxt[rep] = prod, total + lengths[a]
+                size += len(set(prod))
+                if budget is not None and size > budget:
                     raise BudgetExceededError(
-                        f"more than {budget} distinct {k}-atom products")
-        level = list(nxt)
-    return [bytes(p) for p in level], size
+                        f"more than {budget} distinct {j}-atom products")
+        # the caller works on a level while the sweep holds only that one
+        level = nxt
+        del seen
+        if level:
+            yield level, size
+
+
+def _check_slots(most: int) -> None:
+    """The ValueError of `bytes` when a product slot would pass 255, which
+    `unpack` would wrap silently."""
+    if most > MAX_MULTIPLICITY:
+        raise ValueError("bytes must be in range(0, 256)")
 
 
 def unions_of_lengths(group: Group, k: int,
@@ -133,20 +164,24 @@ def unions_of_lengths(group: Group, k: int,
                       budget: int = UNION_PRODUCT_BUDGET) -> UnionReport:
     """U_k: all lengths co-realizable with a factorization of length k.
 
-    U_k is the union of L(B) over the set Z_k of products of k atoms.  Both
-    Z_k and L are Aut(G)-invariant, so L is computed on one canonical
-    product per orbit only.  ``n_products`` is still |Z_k| (the sum of the
-    orbit sizes), and ``budget`` bounds |Z_k|, not the canonical count.
+    U_k is the union of L(B) over the set Z_k of products of k atoms, level
+    k of `_product_levels`.  Both Z_k and L are Aut(G)-invariant, so L is
+    computed on one canonical product per orbit only.  ``n_products`` is
+    still |Z_k| (the sum of the orbit sizes), and ``budget`` bounds |Z_k|,
+    not the canonical count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     inv = inv or GroupInvariants(group)
-    products, n_products = _atom_products(inv, k, budget)
-    union: set[int] = set()
+    _check_slots(k * max(max(a.exps) for a in inv.atoms.atoms))
+    levels = _product_levels(inv, budget)
+    for _ in range(k):
+        products, n_products = next(levels)
+    length_mask = inv.context.length_mask
+    union = 0
     for key in products:
-        seq = Sequence(group, tuple(key))
-        union.update(inv.context.lengths(seq).lengths)
-    ordered = tuple(sorted(union))
+        union |= length_mask(key)
+    ordered = mask_elements(union)
     rho, lam = ordered[-1], ordered[0]
     if ordered != tuple(range(lam, rho + 1)):
         raise ValidationFailure(f"U_{k} of {group.spec} is not an interval")
@@ -275,6 +310,15 @@ def delta_set(group: Group, length_bound: int,
               property_p_holds: Optional[bool] = None) -> DeltaReport:
     """Distances in sets of lengths over all product-one B with |B| bounded.
 
+    j is in L(B) exactly when B is a product of j atoms, so L(B) is
+    {j : B in Z_j}, read off the levels of `_product_levels` bounded at
+    total length N = length_bound.  The bounded levels miss no such B: a
+    product of j atoms of length <= N drops one atom to a product of j - 1
+    atoms of smaller length, so by induction on j every one of them is an
+    extension of level j - 1 and sits on level j.  Z_j and L are invariant
+    under Aut(G), so one key per orbit is enough.  No pi test and no
+    lengths memo are needed.
+
     The result is exact when the group is small enough to be factorial, or
     when the distance ceiling derived from an exact omega value is reached by
     an interval (granted the two-atom splitting property).
@@ -282,19 +326,17 @@ def delta_set(group: Group, length_bound: int,
     inv = inv or GroupInvariants(group)
     if group.order <= 2:
         return DeltaReport((), length_bound, True, "factorial monoid")
-    # L(sigma(B)) = L(B) for every automorphism sigma, so one multiset per
-    # orbit (the least) is enough
-    getters = orbit_getters(group, tuple(range(group.order)))
+    _check_slots(length_bound)
+    lengths: dict[int, int] = {}  # canonical key -> L as a bitmask
+    for j, (products, _) in enumerate(
+            _product_levels(inv, max_total=length_bound), 1):
+        bit = 1 << j
+        for key in products:
+            lengths[key] = lengths.get(key, 0) | bit
     delta: set[int] = set()
-    for exps in iter_multisets(group.order, length_bound):
-        if not sum(exps):
-            continue
-        if any(get(exps) < exps for get in getters):
-            continue
-        if not inv.engine.pi_mask(bytes(exps)) & 1:
-            continue
-        ls = inv.context.lengths(Sequence(group, exps))
-        delta.update(ls.delta())
+    for mask in set(lengths.values()):
+        ls = mask_elements(mask)
+        delta.update(b - a for a, b in zip(ls, ls[1:]))
     ordered = tuple(sorted(delta))
     exact = False
     reason = f"search bounded at |B| <= {length_bound}"
@@ -363,7 +405,13 @@ def _inverse_pair_factors(atom: Sequence, engine: PiEngine) -> tuple[Sequence, .
 def _verified_witness_size(atom: Sequence, factors: tuple[Sequence, ...],
                            engine: PiEngine) -> int:
     """Largest verified n: atom | product(factors) with no proper sub-product
-    divisible.  Returns 0 if the full product is not even divisible."""
+    divisible.  Returns 0 if the full product is not even divisible.
+
+    The full product is tested with `divides_in_B`, which raises its
+    SequenceError when the atom or the product is not product-one.  The
+    factors must be product-one, so every sub-product is too; the packed
+    sub-product sums come from a lowbit DP, and each is tested with one
+    guarded subtraction and the pi memo."""
     n = len(factors)
     if (1 << n) > OMEGA_SUBSET_BUDGET:
         raise BudgetExceededError("too many sub-products to verify")
@@ -373,12 +421,23 @@ def _verified_witness_size(atom: Sequence, factors: tuple[Sequence, ...],
         full = full.concat(f)
     if not divides_in_B(atom, full, engine):
         return 0
+    order = group.order
+    guard = guard_bits(order)
+    u = pack(atom.exps)
+    packed = [pack(f.exps) for f in factors]
+    pi, known = engine.pi_mask, engine._memo.get
+    sums = [0] * ((1 << n) - 1)
     for mask in range(1, (1 << n) - 1):
-        sub = Sequence.empty(group)
-        for i in range(n):
-            if mask >> i & 1:
-                sub = sub.concat(factors[i])
-        if divides_in_B(atom, sub, engine):
+        low = mask & -mask
+        total = sums[mask] = sums[mask ^ low] + packed[low.bit_length() - 1]
+        d = (total | guard) - u
+        if d & guard != guard:
+            continue
+        rest = d ^ guard
+        if not rest:
+            return 0
+        key = unpack(rest, order)
+        if (known(key) or pi(key)) & 1:
             return 0
     return n
 

@@ -189,7 +189,10 @@ class PiEngine:
     key and the sub-multisets of its non-central part that the DP needed,
     each with its exact product set; one engine per top-level computation
     keeps memory bounded and results reproducible.  The atom memo holds only
-    keys already in the pi memo, so `memo_cap` bounds both.
+    keys already in the pi memo, so `memo_cap` bounds both.  The hot loops
+    of the atom test, the lengths layer, property P and omega read `_memo`
+    directly and call `pi_mask` only on a miss: a non-empty product set is
+    a non-zero mask, so a lookup that gives 0 or None is a miss.
     """
 
     def __init__(self, group: Group, memo_cap: int = DEFAULT_MEMO_CAP):

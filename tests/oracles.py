@@ -11,7 +11,12 @@ recounts every sub-multiset sum of every frontier candidate; and
 `oracle_pi_lattice` keeps the central split of `PiEngine.pi_mask` but fills
 the whole sub-multiset lattice, with no stop at the commutator coset; and
 `oracle_least_image` keeps `factor.orbit_getters` but applies every
-automorphism to the key, with no trie.
+automorphism to the key, with no trie.  `oracle_atom_products`,
+`oracle_delta_set` and `oracle_witness_size` keep the package's atoms,
+`FactorizationContext.lengths`, `pi_mask` and `divides_in_B`, and check only
+the product sweep, the reading of L(B) off its levels and omega's packed
+sub-product sums: the first rebuilds every orbit from the getter list, the
+second scans every multiset and the third concatenates `Sequence`s.
 """
 
 from __future__ import annotations
@@ -19,12 +24,13 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import comb
+from operator import add
 
 from prodone import classsemi
 from prodone.errors import BudgetExceededError, ValidationFailure
-from prodone.factor import orbit_getters, small_davenport
+from prodone.factor import divides_in_B, orbit_getters, small_davenport
 from prodone.groups import Group, center_of, closure_of
-from prodone.invariants import SemigroupDavenport
+from prodone.invariants import GroupInvariants, SemigroupDavenport
 from prodone.sequences import (
     PiEngine,
     Sequence,
@@ -183,6 +189,71 @@ def lexicographic_atoms(group: Group, support=None) -> list[Sequence]:
                 out.update((exps, *(get(exps) for get in getters)))
     return [Sequence(group, exps)
             for exps in sorted(out, key=lambda e: (sum(e), e))]
+
+
+def oracle_atom_products(inv: GroupInvariants,
+                         k: int) -> tuple[list[bytes], int]:
+    """The k-atom products Z_k, one Aut(G)-orbit representative each (the
+    least exponent tuple of its orbit), and |Z_k|: every canonical product
+    of k - 1 atoms times every atom, each raw product's orbit rebuilt from
+    `factor.orbit_getters`."""
+    group = inv.group
+    getters = orbit_getters(group, tuple(range(group.order)))
+    atoms = [a.exps for a in inv.atoms.atoms]
+    level: list[tuple[int, ...]] = [(0,) * group.order]
+    size = 1
+    for _ in range(k):
+        nxt: dict[tuple[int, ...], None] = {}
+        seen: set[tuple[int, ...]] = set()
+        size = 0
+        for prod in level:
+            for a in atoms:
+                key = tuple(map(add, prod, a))
+                if key in seen:
+                    continue
+                seen.add(key)
+                orbit = {key, *(get(key) for get in getters)}
+                rep = min(orbit)
+                if rep not in nxt:
+                    nxt[rep] = None
+                    size += len(orbit)
+        level = list(nxt)
+    return [bytes(p) for p in level], size
+
+
+def oracle_delta_set(group: Group, length_bound: int,
+                     inv: GroupInvariants) -> tuple[int, ...]:
+    """Delta over the product-one B with 0 < |B| <= length_bound: every
+    multiset that is the least of its orbit under `factor.orbit_getters`,
+    tested with `pi_mask`, its L(B) from `FactorizationContext.lengths`."""
+    getters = orbit_getters(group, tuple(range(group.order)))
+    delta: set[int] = set()
+    for exps in iter_multisets(group.order, length_bound):
+        if not sum(exps) or any(get(exps) < exps for get in getters):
+            continue
+        if inv.engine.pi_mask(bytes(exps)) & 1:
+            delta.update(inv.context.lengths(Sequence(group, exps)).delta())
+    return tuple(sorted(delta))
+
+
+def oracle_witness_size(atom: Sequence, factors, engine: PiEngine) -> int:
+    """omega's witness check by `divides_in_B` on the full product and on
+    each proper non-empty sub-product, concatenated term by term."""
+    group = atom.group
+    full = Sequence.empty(group)
+    for f in factors:
+        full = full.concat(f)
+    if not divides_in_B(atom, full, engine):
+        return 0
+    n = len(factors)
+    for mask in range(1, (1 << n) - 1):
+        sub = Sequence.empty(group)
+        for i in range(n):
+            if mask >> i & 1:
+                sub = sub.concat(factors[i])
+        if divides_in_B(atom, sub, engine):
+            return 0
+    return n
 
 
 def oracle_lengths(seq: Sequence) -> set[int]:

@@ -19,11 +19,14 @@ from prodone.factor import (
     divides_in_B,
     enumerate_atoms,
     factorization_lengths,
+    guard_bits,
     is_atom,
     least_image,
     orbit_getters,
     orbit_trie,
+    pack,
     small_davenport,
+    unpack,
 )
 from prodone.groups import analyze, closure_of, parse_group
 from prodone.sequences import Sequence, iter_multisets
@@ -149,6 +152,65 @@ def test_lengths_match_oracle_small(groups, invariants_ctx, engines):
             if not engine.is_product_one(seq):
                 continue
             assert set(ctx.lengths(seq).lengths) == oracle_lengths(seq), seq
+
+
+def _random_vectors(seed: int, count: int) -> list[tuple[int, ...]]:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 20)
+        top = rng.choice((1, 3, 255))
+        out.append(tuple(rng.randint(0, top) for _ in range(n)))
+    return out
+
+
+def test_pack_round_trip_and_order():
+    vectors = _random_vectors(5, 1000)
+    for v in vectors:
+        assert unpack(pack(v), len(v)) == bytes(v)
+    by_length: dict[int, list] = {}
+    for v in vectors:
+        by_length.setdefault(len(v), []).append(v)
+    for same in by_length.values():
+        assert sorted(same, key=pack) == sorted(same)
+        for a, b in zip(same, same[1:]):
+            assert (pack(a) < pack(b)) == (a < b)
+    with pytest.raises(ValueError):
+        pack((0, 256))
+
+
+def test_guarded_subtraction_matches_slotwise():
+    rng = random.Random(7)
+    contained = 0
+    for x in _random_vectors(9, 1000):
+        n = len(x)
+        guard = guard_bits(n)
+        # a sub-multiset of x, or one that passes x in some slot
+        a = tuple(rng.randint(0, e) for e in x)
+        if rng.random() < 0.5:
+            i = rng.randrange(n)
+            a = a[:i] + (min(255, x[i] + rng.randint(1, 3)),) + a[i + 1:]
+        d = (pack(x) | guard) - pack(a)
+        inside = all(s <= t for s, t in zip(a, x))
+        assert (d & guard == guard) == inside, (x, a)
+        if inside:
+            contained += 1
+            assert unpack(d ^ guard, n) == bytes(t - s for s, t in zip(a, x))
+    assert 300 < contained < 1000
+
+
+def test_length_mask_matches_oracle(invariants_ctx):
+    """The bitmask of `length_mask`, with the atom list and without, against
+    the brute-force lengths on seeded product-one sequences."""
+    for spec in ("D8", "Q8"):
+        inv = invariants_ctx[spec]
+        local = FactorizationContext(inv.group, None, inv.engine)
+        for seq in _product_one_samples(inv.group, inv.engine, 17, 12, 7):
+            want = oracle_lengths(seq)
+            for ctx in (inv.context, local):
+                mask = ctx.length_mask(pack(seq.exps))
+                assert {l for l in range(mask.bit_length())
+                        if mask >> l & 1} == want, (spec, seq)
 
 
 def test_lengths_without_atom_list_matches(groups, engines):

@@ -4,13 +4,21 @@ import random
 
 import pytest
 
-from oracles import oracle_semigroup_davenport
+from oracles import (
+    oracle_atom_products,
+    oracle_delta_set,
+    oracle_semigroup_davenport,
+    oracle_witness_size,
+)
 from prodone.errors import BudgetExceededError
-from prodone.factor import davenport, divides_in_B
+from prodone.factor import davenport, divides_in_B, unpack
 from prodone.groups import analyze, parse_group
 from prodone.invariants import (
     SEMIGROUP_FRONTIER_BUDGET,
     GroupInvariants,
+    _inverse_pair_factors,
+    _product_levels,
+    _verified_witness_size,
     delta_set,
     omega,
     rho_bounds_check,
@@ -91,6 +99,36 @@ def test_unions_over_the_automorphism_cap_are_unreduced(unreduce):
     assert unions_of_lengths(group, 1, inv) == got
 
 
+@pytest.mark.parametrize("spec,max_k", [("C6", 3), ("C2xC4", 3), ("D6", 3),
+                                        ("D8", 3), ("Q8", 2)])
+def test_product_levels_match_getter_oracle(spec, max_k, unreduce):
+    """Each level of the sweep holds the least member of each orbit of Z_k,
+    with |Z_k|, as the sweep that rebuilds every orbit from the getter list
+    finds them; and so it does without the orbit reduction."""
+    for switch in (lambda: None, unreduce):
+        switch()
+        inv = GroupInvariants(parse_group(spec))
+        n = inv.group.order
+        for k, (level, size) in enumerate(_product_levels(inv), 1):
+            want, want_size = oracle_atom_products(inv, k)
+            assert sorted(unpack(key, n) for key in level) == sorted(want)
+            assert size == want_size == sum(
+                len(set(images)) for images, _ in level.values())
+            assert all(key == min(images)
+                       for key, (images, _) in level.items())
+            if k == max_k:
+                break
+
+
+def test_product_slots_past_255_raise(groups, invariants_ctx):
+    # the largest exponent of an atom over C3 is 3: 86 atoms reach 258
+    c3, inv = groups["C3"], invariants_ctx["C3"]
+    with pytest.raises(ValueError, match="range"):
+        unions_of_lengths(c3, 86, inv)
+    with pytest.raises(ValueError, match="range"):
+        delta_set(c3, 256, inv)
+
+
 def test_q8_union_k3(groups, invariants_ctx):
     rep = unions_of_lengths(groups["Q8"], 3, invariants_ctx["Q8"])
     assert rep.union == tuple(range(2, 9))
@@ -150,6 +188,29 @@ def test_delta_matches_unreduced_scan(groups, invariants_ctx, unreduce, spec):
     got = delta_set(groups[spec], 8, invariants_ctx[spec])
     unreduce()
     assert delta_set(groups[spec], 8, invariants_ctx[spec]) == got
+
+
+@pytest.mark.parametrize("spec", ["C6", "C2xC4", "D6", "D8", "Q8"])
+def test_delta_matches_multiset_scan(spec):
+    inv = GroupInvariants(parse_group(spec))
+    for b in range(3, 11):
+        assert delta_set(inv.group, b, inv).delta == \
+            oracle_delta_set(inv.group, b, inv), b
+
+
+def test_delta_matches_multiset_scan_unreduced(unreduce):
+    # above the automorphism cap only the identity is listed
+    group = parse_group("C2xC2xC2xC2")
+    inv = GroupInvariants(group)
+    assert delta_set(group, 6, inv).delta == oracle_delta_set(group, 6, inv)
+    unreduce()
+    inv = GroupInvariants(parse_group("D6"))
+    assert delta_set(inv.group, 9, inv).delta == \
+        oracle_delta_set(inv.group, 9, inv) == (1, 2)
+
+
+def test_delta_d6_reaches_four_at_bound_12(groups, invariants_ctx):
+    assert delta_set(groups["D6"], 12, invariants_ctx["D6"]).delta == (1, 2, 3, 4)
 
 
 def test_delta_trivial_groups(groups):
@@ -216,6 +277,15 @@ def test_omega_witness_is_genuine(groups, invariants_ctx, engines):
             if mask >> i & 1:
                 sub = sub.concat(rep.witness_factors[i])
         assert not divides_in_B(rep.witness_atom, sub, engine)
+
+
+@pytest.mark.parametrize("spec", ["C6", "C2xC4", "D6", "D8", "Q8"])
+def test_witness_size_matches_sequence_oracle(spec):
+    inv = GroupInvariants(parse_group(spec))
+    for atom in inv.atoms.atoms:
+        factors = _inverse_pair_factors(atom, inv.engine)
+        assert _verified_witness_size(atom, factors, inv.engine) == \
+            oracle_witness_size(atom, factors, inv.engine), atom
 
 
 def test_semigroup_davenport_of_groups(groups):
