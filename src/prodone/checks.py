@@ -75,11 +75,9 @@ def _two_atom_bound_ok(key: bytes, engine: PiEngine) -> bool:
     """Whether the sequence is an atom or a product of exactly two atoms."""
     if engine.is_atom(key):
         return True
-    pi, known = engine.pi_mask, engine._memo.get
-    # a non-empty product set is a non-zero mask, so 0 is a miss
+    has_one = engine.has_one
     for sub, comp in pivot_splits(key):
-        if (any(comp) and (known(sub) or pi(sub)) & 1
-                and (known(comp) or pi(comp)) & 1
+        if (any(comp) and has_one(sub) and has_one(comp)
                 and engine.is_atom(sub) and engine.is_atom(comp)):
             return True
     return False

@@ -362,12 +362,23 @@ def unpack(x: int, n: int) -> bytes:
 
 
 def guard_bits(n: int) -> int:
-    """Bit 15 of each of n packed slots.  With H = guard_bits(n) and
-    d = (x | H) - a for packed x and a, a <= x slot-wise exactly when
-    d & H == H, and then x - a is d ^ H: no slot borrows from the one
-    above while its own guard is set (Lamport, "Multiple byte processing
-    with full-word instructions", CACM 18(8), 1975)."""
+    """Bit 15 of each of n packed slots, the guards of `packed_remainders`."""
     return int.from_bytes(b"\x80\0" * n, "big")
+
+
+def packed_remainders(x: int, parts: list[int], guard: int,
+                      start: int = 0) -> list[tuple[int, int]]:
+    """(i, x - parts[i]) for each i >= start with parts[i] <= x slot-wise,
+    for packed x and parts; ``guard`` is `guard_bits` of their slot count.
+    With d = (x | guard) - a, no slot borrows from the one above while its
+    own guard is set, so a <= x exactly when every guard survives, and
+    then x - a is d ^ guard (Lamport, "Multiple byte processing with
+    full-word instructions", CACM 18(8), 1975).  It takes a whole list, as
+    the lengths layer tests every atom of a pivot against one key and a
+    call per atom would cost more than the test."""
+    top = x | guard
+    return [(i, d ^ guard) for i in range(start, len(parts))
+            if (d := top - parts[i]) & guard == guard]
 
 
 class FactorizationContext:
@@ -385,10 +396,10 @@ class FactorizationContext:
 
     Keys are `pack`ed exponent vectors: the pivot of B is its most
     significant non-zero slot, A | B and B - A come from one guarded
-    subtraction, and L(B) is memoised as a bitmask (bit l set when
-    l is in L(B)).  Every key in that memo is product-one, so the
-    product-one test of B - A reads it before the pi memo, and calls
-    `pi_mask` only when neither holds the key.
+    subtraction (`packed_remainders`), and L(B) is memoised as a bitmask
+    (bit l set when l is in L(B)).  Every key in that memo is product-one,
+    so the product-one test of B - A reads it before asking the engine's
+    `has_one`.
     """
 
     def __init__(self, group: Group, atoms: Optional[AtomSet] = None,
@@ -419,27 +430,22 @@ class FactorizationContext:
             return got
         n = self.group.order
         engine = self.engine
-        pi, known = engine.pi_mask, engine._memo.get
+        has_one = engine.has_one
         acc = 0
         if self.by_pivot is not None:
             guard = self._guard
-            for a in self.by_pivot[n - 1 - (x.bit_length() - 1 >> 4)]:
-                d = (x | guard) - a
-                if d & guard != guard:
-                    continue
-                rest = d ^ guard
+            atoms = self.by_pivot[n - 1 - (x.bit_length() - 1 >> 4)]
+            for _, rest in packed_remainders(x, atoms, guard):
                 sub = memo.get(rest)
                 if sub is None:
-                    key = unpack(rest, n)
-                    # a product set is a non-zero mask, so 0 is a miss
-                    if not (known(key) or pi(key)) & 1:
+                    if not has_one(unpack(rest, n)):
                         continue
                     sub = self.length_mask(rest)
                 acc |= sub
         else:
             for sub, comp in pivot_splits(unpack(x, n)):
                 if (engine.is_atom(sub)
-                        and (not any(comp) or pi(comp) & 1)):
+                        and (not any(comp) or has_one(comp))):
                     acc |= self.length_mask(pack(comp))
         acc <<= 1
         memo[x] = acc
@@ -478,18 +484,12 @@ class FactorizationContext:
         g_slot = 1 << 16 * low
         guard = self._guard
         lengths = self._lengths
-        pi, known = self.engine.pi_mask, self.engine._memo.get
+        has_one = self.engine.has_one
         atoms = self.by_pivot[n - 1 - low]
         total = 0
-        for idx in range(start, len(atoms)):
-            d = (x | guard) - atoms[idx]
-            if d & guard != guard:
+        for idx, rest in packed_remainders(x, atoms, guard, start):
+            if rest not in lengths and not has_one(unpack(rest, n)):
                 continue
-            rest = d ^ guard
-            if rest not in lengths:
-                key = unpack(rest, n)
-                if not (known(key) or pi(key)) & 1:
-                    continue
             # rest >= g_slot: B - A still holds g
             total += self._count(rest, idx if rest >= g_slot else 0, memo)
         memo[(x, start)] = total

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import add, itemgetter
+from operator import add
 from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceededError, SequenceError, ValidationFailure
@@ -33,6 +33,7 @@ from .factor import (
     guard_bits,
     is_atom,
     pack,
+    packed_remainders,
     unpack,
 )
 from .groups import Group, mask_elements
@@ -116,13 +117,13 @@ def _product_levels(inv: GroupInvariants, budget: Optional[int] = None,
     level.
     """
     group = inv.group
-    getters = [itemgetter(*p) for p in
-               _fixing_automorphisms(group, tuple(range(group.order)))]
+    perms = _fixing_automorphisms(group, tuple(range(group.order)))
     atoms = inv.atoms.atoms
-    atom_images = [[pack(get(a.exps)) for get in getters] for a in atoms]
+    atom_images = [[pack([e[g] for g in p]) for p in perms]
+                   for e in (a.exps for a in atoms)]
     lengths = [a.length for a in atoms]  # ascending: atoms go by length
     # canonical key -> (images, total length)
-    level: dict[int, tuple[list[int], int]] = {0: ([0] * len(getters), 0)}
+    level: dict[int, tuple[list[int], int]] = {0: ([0] * len(perms), 0)}
     j = 0
     while level:
         j += 1
@@ -409,9 +410,10 @@ def _verified_witness_size(atom: Sequence, factors: tuple[Sequence, ...],
 
     The full product is tested with `divides_in_B`, which raises its
     SequenceError when the atom or the product is not product-one.  The
-    factors must be product-one, so every sub-product is too; the packed
-    sub-product sums come from a lowbit DP, and each is tested with one
-    guarded subtraction and the pi memo."""
+    factors must be product-one, so every sub-product is too.  The proper
+    sub-products are walked in Gray-code order, so each step adds or
+    removes one packed factor from a running sum, and each is tested with
+    `packed_remainders` and the engine's `has_one`."""
     n = len(factors)
     if (1 << n) > OMEGA_SUBSET_BUDGET:
         raise BudgetExceededError("too many sub-products to verify")
@@ -423,22 +425,23 @@ def _verified_witness_size(atom: Sequence, factors: tuple[Sequence, ...],
         return 0
     order = group.order
     guard = guard_bits(order)
-    u = pack(atom.exps)
+    divisor = [pack(atom.exps)]
     packed = [pack(f.exps) for f in factors]
-    pi, known = engine.pi_mask, engine._memo.get
-    sums = [0] * ((1 << n) - 1)
-    for mask in range(1, (1 << n) - 1):
-        low = mask & -mask
-        total = sums[mask] = sums[mask ^ low] + packed[low.bit_length() - 1]
-        d = (total | guard) - u
-        if d & guard != guard:
+    everything = (1 << n) - 1
+    subset = total = 0
+    for step in range(1, 1 << n):
+        # Gray code: step i flips the factor of the lowest set bit of i
+        low = step & -step
+        subset ^= low
+        if subset & low:
+            total += packed[low.bit_length() - 1]
+        else:
+            total -= packed[low.bit_length() - 1]
+        if subset == everything:
             continue
-        rest = d ^ guard
-        if not rest:
-            return 0
-        key = unpack(rest, order)
-        if (known(key) or pi(key)) & 1:
-            return 0
+        for _, rest in packed_remainders(total, divisor, guard):
+            if not rest or engine.has_one(unpack(rest, order)):
+                return 0
     return n
 
 

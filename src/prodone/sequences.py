@@ -190,9 +190,8 @@ class PiEngine:
     each with its exact product set; one engine per top-level computation
     keeps memory bounded and results reproducible.  The atom memo holds only
     keys already in the pi memo, so `memo_cap` bounds both.  The hot loops
-    of the atom test, the lengths layer, property P and omega read `_memo`
-    directly and call `pi_mask` only on a miss: a non-empty product set is
-    a non-zero mask, so a lookup that gives 0 or None is a miss.
+    of the atom test, the lengths layer, property P and omega ask
+    `has_one`, which reads the memo and calls `pi_mask` only on a miss.
     """
 
     def __init__(self, group: Group, memo_cap: int = DEFAULT_MEMO_CAP):
@@ -302,6 +301,12 @@ class PiEngine:
     def is_product_one(self, seq: Sequence) -> bool:
         return bool(self.pi_mask(seq.exps) & 1)
 
+    def has_one(self, key: bytes) -> int:
+        """Whether 1_G is in pi(key), as 1 or 0: the memo first, `pi_mask`
+        only on a miss.  A non-empty product set is a non-zero mask, so a
+        lookup that gives 0 or None is a miss."""
+        return (self._memo.get(key) or self.pi_mask(key)) & 1
+
     def subsequence_mask(self, exps) -> int:
         """Union of pi over all non-empty sub-multisets."""
         mask = 0
@@ -325,13 +330,11 @@ class PiEngine:
         and product-one.  Memoised."""
         got = self._atoms.get(key)
         if got is None:
-            pi, known = self.pi_mask, self._memo.get
-            got = bool(pi(key) & 1)
+            has_one = self.has_one
+            got = bool(self.pi_mask(key) & 1)
             if got:
-                # a non-empty product set is a non-zero mask, so 0 is a miss
                 for sub, comp in pivot_splits(key):
-                    if ((known(sub) or pi(sub)) & 1 and any(comp)
-                            and (known(comp) or pi(comp)) & 1):
+                    if has_one(sub) and any(comp) and has_one(comp):
                         got = False
                         break
             self._atoms[key] = got

@@ -25,6 +25,7 @@ from prodone.factor import (
     orbit_getters,
     orbit_trie,
     pack,
+    packed_remainders,
     small_davenport,
     unpack,
 )
@@ -185,18 +186,23 @@ def test_guarded_subtraction_matches_slotwise():
     for x in _random_vectors(9, 1000):
         n = len(x)
         guard = guard_bits(n)
-        # a sub-multiset of x, or one that passes x in some slot
-        a = tuple(rng.randint(0, e) for e in x)
-        if rng.random() < 0.5:
-            i = rng.randrange(n)
-            a = a[:i] + (min(255, x[i] + rng.randint(1, 3)),) + a[i + 1:]
-        d = (pack(x) | guard) - pack(a)
-        inside = all(s <= t for s, t in zip(a, x))
-        assert (d & guard == guard) == inside, (x, a)
-        if inside:
-            contained += 1
-            assert unpack(d ^ guard, n) == bytes(t - s for s, t in zip(a, x))
-    assert 300 < contained < 1000
+        # sub-multisets of x, and ones that pass x in some slot
+        parts = []
+        for _ in range(4):
+            a = tuple(rng.randint(0, e) for e in x)
+            if rng.random() < 0.5:
+                i = rng.randrange(n)
+                a = a[:i] + (min(255, x[i] + rng.randint(1, 3)),) + a[i + 1:]
+            parts.append(a)
+        start = rng.randrange(4)
+        want = [(i, bytes(t - s for s, t in zip(a, x)))
+                for i, a in enumerate(parts)
+                if i >= start and all(s <= t for s, t in zip(a, x))]
+        got = packed_remainders(pack(x), [pack(a) for a in parts], guard,
+                                start)
+        assert [(i, unpack(d, n)) for i, d in got] == want, (x, parts)
+        contained += len(want)
+    assert 300 < contained < 2500
 
 
 def test_length_mask_matches_oracle(invariants_ctx):

@@ -51,6 +51,19 @@ def test_union_k1_is_singleton(groups, invariants_ctx):
         assert rep.rho == rep.lam == 1
 
 
+def test_unions_of_factorial_groups(groups):
+    """Over C1 and C2 every product-one sequence has one factorization: the
+    sweep's one automorphism and its one-slot images included."""
+    for spec, atoms in (("C1", 1), ("C2", 2)):
+        inv = GroupInvariants(groups[spec])
+        for k in (1, 2, 3, 5):
+            rep = unions_of_lengths(groups[spec], k, inv)
+            assert rep.union == (k,)
+            # |Z_k| counts the multisets of k atoms
+            want = 1 if atoms == 1 else k + 1
+            assert rep.n_products == rep.n_canonical == want
+
+
 def test_union_d6_k2(groups, invariants_ctx):
     rep = unions_of_lengths(groups["D6"], 2, invariants_ctx["D6"])
     assert rep.union == (2, 3, 4, 5, 6)

@@ -285,6 +285,19 @@ def test_engine_is_atom_matches_oracle_atoms(groups, spec):
     assert got == want
 
 
+@pytest.mark.parametrize("spec", ["C1", "D6", "Q8"])
+def test_has_one_agrees_with_pi_mask(groups, spec):
+    """`has_one` on a cold and on a warm memo, against the identity bit of
+    a second engine's `pi_mask`."""
+    group = groups[spec]
+    engine, reference = PiEngine(group), PiEngine(group)
+    keys = [bytes(e) for e in iter_multisets(group.order, 4)]
+    for _ in range(2):
+        got = [engine.has_one(key) for key in keys]
+        assert got == [reference.pi_mask(key) & 1 for key in keys]
+    assert 0 < sum(got) < len(keys) or group.order == 1
+
+
 def _recursive_multisets_exact(n, total):
     """The earlier recursive generator, kept as the order reference."""
     if n == 1:
