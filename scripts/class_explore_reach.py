@@ -1,15 +1,17 @@
-"""The class semigroup of D10, beyond the tier-1 tests.
+"""The class semigroups of D10, D12 and C2xD6, each built in its own process.
 
-Builds it with ``classsemi.build`` (every validator runs).  D12, and C2xD6
-through an op-table isomorphism onto D12, are tier-1 tests in
-``tests/test_classsemi.py``.
+Builds each with ``classsemi.build`` (every validator runs) in a child
+process, and records its classes, units, idempotents, Clifford verdict,
+build time, the child's peak RSS, and the context search's rounds, contexts
+and longest context, with the full provenance.  All three are also tier-1
+tests in ``tests/test_classsemi.py``.
 
     PYTHONPATH=src python3 scripts/class_explore_reach.py [--out PATH]
 
-prints one line per group and writes the values and timings to PATH
-(default: the "reach" entry of BENCH_class_explore.json, whose other
-entries are kept).  It takes about 16 s and 110 MB on a 2-core x86-64
-machine.
+prints one line per group and writes the rows to PATH (default: the "reach"
+entry of BENCH_class_explore.json, whose other entries are kept).  It takes
+about 5 s on a 2-core x86-64 machine, with D10 the largest at about 1 s and
+35 MB.
 """
 
 from __future__ import annotations
@@ -18,15 +20,35 @@ import argparse
 import json
 import os
 import platform
-import resource
-import time
-
-from prodone import classsemi
-from prodone.groups import parse_group
+import subprocess
+import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEFAULT_OUT = os.path.join(os.path.dirname(HERE), "BENCH_class_explore.json")
-SPECS = ("D10",)
+SPECS = ("D10", "D12", "C2xD6")
+
+CHILD = """
+import json, resource, sys, time
+from prodone import classsemi
+from prodone.groups import parse_group
+start = time.perf_counter()
+semi = classsemi.build(parse_group(sys.argv[1]))
+elapsed = time.perf_counter() - start
+prov = semi.provenance
+print(json.dumps({
+    "classes": semi.n_classes,
+    "units": len(semi.units()),
+    "idempotents": len(semi.idempotents()),
+    "clifford": classsemi.regularity_report(semi).is_clifford,
+    "build_s": round(elapsed, 2),
+    "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                         / 1024, 1),
+    "rounds": prov["attempt"] + 1,
+    "contexts": prov["contexts"],
+    "context_len": prov["context_len"],
+    "provenance": prov,
+}))
+"""
 
 
 def main() -> None:
@@ -35,25 +57,15 @@ def main() -> None:
     args = ap.parse_args()
     rows = {}
     for spec in SPECS:
-        start = time.perf_counter()
-        semi = classsemi.build(parse_group(spec))
-        elapsed = time.perf_counter() - start
-        rows[spec] = {
-            "classes": semi.n_classes,
-            "units": len(semi.units()),
-            "idempotents": len(semi.idempotents()),
-            "clifford": classsemi.regularity_report(semi).is_clifford,
-            "build_s": round(elapsed, 2),
-            "provenance": semi.provenance,
-        }
+        proc = subprocess.run([sys.executable, "-c", CHILD, spec],
+                              capture_output=True, text=True, check=True)
+        rows[spec] = json.loads(proc.stdout.strip().splitlines()[-1])
         print(spec, json.dumps(rows[spec]), flush=True)
     reach = {
         "command": "PYTHONPATH=src python3 scripts/class_explore_reach.py",
         "machine": f"{os.cpu_count()}-core {platform.machine()}, "
                    f"CPython {platform.python_version()}",
         "groups": rows,
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                             / 1024, 1),
     }
     out = {}
     if os.path.exists(args.out):

@@ -1,18 +1,19 @@
-"""Cost of the class semigroup layer's two searches, per group.
+"""Cost of the stages of a class semigroup build, per group.
 
-For each of C6, C2xC4, D6, D8, Q8 and D12 it builds the class semigroup
-with a fresh ``PiEngine`` (``classsemi.discover_folds``, then
-``_validate_structure``), and times ``_validate_recognition`` (seed 0)
-alone.  It reports the product-set memo entries after that build, and the
-time of ``invariants.semigroup_davenport`` on the table.  Times are the
-least of ``REPEATS`` runs, each on a fresh engine.
+For each of C6, C2xC4, D6, D8, Q8 and D12 it times, on a fresh
+``PiEngine``, the three stages of ``classsemi.build``: the context search
+(``discover_folds``), the structural checks with Light's associativity test
+(``_validate_structure``) and the recognition checks over merged slot-walk
+states (``_validate_recognition``, seed 0).  It reports the search's rounds,
+contexts and keyed vectors, the product-set memo entries after the build,
+and the time of ``invariants.semigroup_davenport`` on the table.  Times are
+the least of ``REPEATS`` runs, each on a fresh engine.
 
     PYTHONPATH=src python3 scripts/semigroup_layer_cost.py [--out PATH]
 
 prints one line per group and writes the rows to PATH under "layer_cost"
-(default: BENCH_semigroup_walk.json, whose other entries are kept).  It
-takes about a minute and a half on a 2-core x86-64 machine, most of it
-on D12.
+(default: BENCH_observation_table.json, whose other entries are kept).  It
+takes about ten seconds on a 2-core x86-64 machine.
 """
 
 from __future__ import annotations
@@ -29,32 +30,43 @@ from prodone.groups import parse_group
 from prodone.sequences import PiEngine
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-DEFAULT_OUT = os.path.join(os.path.dirname(HERE), "BENCH_semigroup_walk.json")
+DEFAULT_OUT = os.path.join(os.path.dirname(HERE), "BENCH_observation_table.json")
 SPECS = ("C6", "C2xC4", "D6", "D8", "Q8", "D12")
 REPEATS = 5
 
 
 def measure(spec: str) -> dict:
     group = parse_group(spec)
-    recognition, davenport = [], []
+    times: dict[str, list[float]] = {"search_s": [], "structure_s": [],
+                                     "recognition_s": [],
+                                     "semigroup_davenport_s": []}
+
+    def timed(name, stage):
+        start = time.perf_counter()
+        out = stage()
+        times[name].append(time.perf_counter() - start)
+        return out
+
     for _ in range(REPEATS):
         engine = PiEngine(group)
-        semi = classsemi.discover_folds(group, engine)
-        classsemi._validate_structure(semi, engine)
-        start = time.perf_counter()
-        classsemi._validate_recognition(semi, engine, 0)
-        recognition.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        sd = invariants.semigroup_davenport(semi.op)
-        davenport.append(time.perf_counter() - start)
+        semi = timed("search_s", lambda: classsemi.discover_folds(group, engine))
+        timed("structure_s", lambda: classsemi._validate_structure(semi))
+        timed("recognition_s",
+              lambda: classsemi._validate_recognition(semi, engine, 0))
+        sd = timed("semigroup_davenport_s",
+                   lambda: invariants.semigroup_davenport(semi.op))
+    prov = semi.provenance
     return {
         "classes": semi.n_classes,
-        "recognition_exhaustive_count":
-            semi.provenance["recognition_exhaustive_count"],
-        "recognition_s": round(min(recognition), 4),
+        "rounds": prov["attempt"] + 1,
+        "class_counts": prov["class_counts"],
+        "contexts": prov["contexts"],
+        "context_len": prov["context_len"],
+        "states": prov["states"],
+        "recognition_exhaustive_count": prov["recognition_exhaustive_count"],
         "memo_entries": engine.memo_size(),
         "semigroup_davenport": [sd.small, sd.large],
-        "semigroup_davenport_s": round(min(davenport), 4),
+        **{name: round(min(runs), 4) for name, runs in times.items()},
     }
 
 

@@ -6,27 +6,29 @@ quotient of all sequences by this congruence is a finite commutative monoid
 C(G), generated by the |G| classes of the one-term sequences.
 
 It is found by one ordered search (Froidure & Pin, "Algorithms for computing
-finite semigroups", 1997).  A sequence S is keyed by the product sets
-pi(S*T) over every context multiset T of length at most L.  Equivalent
+finite semigroups", 1997) over an observation table (Angluin, "Learning
+regular sets from queries and counterexamples", 1987).  A sequence S is
+keyed by the product sets pi(S*T) over a list of contexts T.  Equivalent
 sequences have equal keys (g lies in pi(U) iff U*g^-1 is product-one), so
 distinct keys prove two sequences inequivalent and the number of keys found
 is a lower bound on |C(G)|.  Central terms are equivalent to their product,
 so the search runs over the exponent vectors of the non-central elements
 only, popping them in lexicographic order and extending by one term only
 the vectors whose key is new; each class z*D then arises from a class D of
-the search and an element z of the center.  L grows from 0 until the class
-count at L equals the count at L - 1, as in an observation table (Angluin,
-"Learning regular sets from queries and counterexamples", 1987).
+the search and an element z of the center.  The contexts start as the empty
+one alone; where two members of a class have successors S*g whose keys
+differ at a context T, T*g tells them apart and joins the list, until a
+round adds none.
 
 A bounded key can merge inequivalent sequences, so every build is validated
-once: all structural facts (unit group, embedded quotient group, idempotent
-product sets, ...) are checked, and recognition through the reported table
-is compared against direct product-one tests on an exhaustive short-sequence
-sweep plus seeded random longer sequences.  The exhaustive sweeps walk the
-tree of exponent vectors slot by slot (``_sweep``), so each sequence takes
-its class walk and central product from its parent, and is product-one iff
-z^-1 lies in pi(S_nc) for its central product z.  A failure raises
-``ValidationFailure``.
+once: associativity by Light's test over the one-term classes, all
+structural facts (unit group, embedded quotient group, idempotent product
+sets, ...), and recognition through the table against direct product-one
+tests on every short sequence and on seeded random longer ones.  S is
+product-one iff z^-1 lies in pi(S_nc), z the product of its central terms,
+so each check depends only on the triple (class, z, S_nc), and the
+exhaustive checks run once per distinct triple (``_triples``).  A
+failure raises ``ValidationFailure``.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from math import comb
+from math import comb, prod
 from operator import add
 from typing import Optional
 
 from .errors import BudgetExceededError, ValidationFailure
-from .groups import Group, GroupStructure, analyze
+from .groups import Group, GroupStructure, analyze, light_failure
 from .sequences import PiEngine, Sequence, iter_multisets
 
 CLASS_CAP = 500
@@ -82,13 +84,7 @@ class ClassSemigroup:
     def class_of(self, seq: Sequence) -> int:
         if seq.group != self.group:
             raise ValueError("sequence is over a different group")
-        op = self.op
-        cls = self.zero
-        for g, e in enumerate(seq.exps):
-            single = self.singletons[g]
-            for _ in range(e):
-                cls = op[cls][single]
-        return cls
+        return _walk(self, seq.exps)[0]
 
     def representative(self, cls: int) -> Sequence:
         return self.representatives[cls]
@@ -135,172 +131,207 @@ def build(group: Group, engine: Optional[PiEngine] = None,
           seed: int = 0) -> ClassSemigroup:
     """The class semigroup found by ``discover_folds``, validated once.
 
-    Provenance: ``attempt`` is the final L (rounds start at L = 0),
-    ``class_counts`` the class count at each L, ``states`` the number of
-    sequences keyed in the final round, plus the recognition counts.
+    Provenance: ``attempt`` is the index of the last round of the context
+    search (from 0), ``class_counts`` the class count of each round,
+    ``states`` the vectors keyed in the last round, ``contexts`` the number
+    of contexts and ``context_len`` the longest, and the recognition counts.
     """
     engine = engine or PiEngine(group)
     semi = discover_folds(group, engine)
     semi.provenance["seed"] = seed
     try:
-        _validate_structure(semi, engine)
+        _validate_structure(semi)
         _validate_recognition(semi, engine, seed)
     except ValidationFailure as exc:
         raise ValidationFailure(
-            f"class semigroup of {group.spec} explored at context length "
-            f"{semi.provenance['attempt']} failed validation: {exc}") from None
+            f"class semigroup of {group.spec} explored over "
+            f"{semi.provenance['contexts']} contexts failed validation: {exc}"
+        ) from None
     return semi
 
 
 def discover_folds(group: Group,
                    engine: Optional[PiEngine] = None) -> ClassSemigroup:
-    """``explore`` at L = 0, 1, ... until the class count at L equals the
-    count at L - 1, unvalidated; the counts go to ``class_counts``.  (The
-    folds are the identifications S ~ S'; perfbench times this stage.)"""
+    """``explore`` in rounds, unvalidated: round 0 keys over the empty
+    context alone, each round appends the contexts that ``explore``'s
+    consistency check finds, and the first round that finds none is the
+    last.  The key columns are kept, so a round keys only new vectors and
+    new contexts.  (The folds are the identifications S ~ S'.)"""
     engine = engine or PiEngine(group)
-    counts: list[int] = []
-    while len(counts) < 2 or counts[-1] != counts[-2]:
+    contexts, keys, counts = [bytes(group.order)], {}, []
+    while True:
+        splitters: set[bytes] = set()
         try:
-            semi = explore(group, len(counts), engine)
+            semi = explore(group, contexts, engine, keys, splitters)
         except BudgetExceededError as exc:
             raise BudgetExceededError(
-                f"{exc} (counts at shorter context lengths: {counts})") from None
+                f"{exc} (class counts of earlier rounds: {counts})") from None
         counts.append(semi.n_classes)
-    semi.provenance["class_counts"] = counts
+        if not splitters:
+            break
+        contexts += sorted(splitters)
+    semi.provenance.update(attempt=len(counts) - 1, class_counts=counts)
     return semi
 
 
-def explore(group: Group, max_len: int,
-            engine: Optional[PiEngine] = None) -> ClassSemigroup:
-    """The table of the classes that contexts of length <= ``max_len`` tell
+def _plus(v: bytes, g: int) -> bytes:
+    """The exponent vector v with one more term g."""
+    f = bytearray(v)
+    f[g] += 1
+    return bytes(f)
+
+
+def explore(group: Group, contexts: list[bytes],
+            engine: Optional[PiEngine] = None, keys: Optional[dict] = None,
+            splitters: Optional[set] = None) -> ClassSemigroup:
+    """The table of the classes that ``contexts`` (exponent vectors) tell
     apart, unvalidated.
 
     The first member the search keys in each class is its least one:
     lexicographic order is translation-invariant, so every vector one term
     below a least member is a least member too, and the heap pops vectors
-    in increasing order.  More than ``CLASS_CAP`` classes, or more keyed
-    sequences than the product-set memo cap over the number of contexts,
-    raise ``BudgetExceededError``.
+    in increasing order.  ``keys`` caches the product sets of each vector
+    over a prefix of ``contexts``.  If ``splitters`` is given, the
+    consistency check adds to it: for a keyed e whose class has least member
+    r != e, and for central translates z*e, z'*e' with one key, successors
+    by each non-central g must share a key; where they differ at a context
+    T, the context T*g tells the two apart.  More than ``CLASS_CAP`` classes, or more
+    vectors keyed than the memo cap over the number of contexts, raise
+    ``BudgetExceededError``.
     """
     engine = engine or PiEngine(group)
     structure = analyze(group)
     n = group.order
     center = structure.center.members
     nc = [g for g in range(n) if g not in center]
-    contexts = [bytes(t) for t in iter_multisets(n, max_len)]
-    pi_mask = engine.pi_mask
-    mul_mask = group.mul_mask
-    max_keyed = engine.memo_cap // len(contexts)
+    pi_mask, mul_mask = engine.pi_mask, group.mul_mask
+    keys = {} if keys is None else keys
+    width, longest = len(contexts), max(map(sum, contexts))
+    max_keyed = engine.memo_cap // width
 
     def over_budget(what: str, limit: str) -> BudgetExceededError:
         return BudgetExceededError(
             f"class semigroup of {group.spec}: {what} at context length "
-            f"{max_len} exceed {limit}")
+            f"{longest} exceed {limit}")
+
+    seen: dict[bytes, tuple[int, ...]] = {}  # the vectors keyed this round
+
+    def key_at(z: int, e: bytes) -> tuple[int, ...]:
+        """The key of z*e: a central term z multiplies every product set."""
+        key = seen.get(e)
+        if key is None:
+            if len(seen) >= max_keyed:
+                raise over_budget(f"{len(seen) + 1} sequences keyed over {width} "
+                                  "contexts", f"the memo cap {engine.memo_cap}")
+            key = keys.get(e, ())
+            if len(key) < width:
+                key = keys[e] = key + tuple(pi_mask(bytes(map(add, e, t)))
+                                            for t in contexts[len(key):])
+            seen[e] = key
+        return tuple(mul_mask(m, z) for m in key) if z else key
 
     # ordered search over non-central exponent vectors (central slots stay 0)
-    keys: dict[bytes, tuple[int, ...]] = {}
     least: dict[tuple[int, ...], bytes] = {}
     heap = [bytes(n)]
     while heap:
         e = heappop(heap)
-        if e in keys:
+        if e in seen:
             continue
-        if len(keys) >= max_keyed:
-            raise over_budget(f"{len(keys) + 1} sequences keyed over {len(contexts)} "
-                              "contexts", f"the memo cap {engine.memo_cap}")
-        key = keys[e] = tuple(pi_mask(bytes(map(add, e, t))) for t in contexts)
+        key = key_at(0, e)
         if key in least:
             continue
         least[key] = e
         if len(least) > CLASS_CAP:
             raise over_budget(f"{len(least)} classes", f"the cap {CLASS_CAP}")
         for g in nc:
-            f = bytearray(e)
-            f[g] += 1
-            heappush(heap, bytes(f))
+            heappush(heap, _plus(e, g))
 
-    # the classes z*D, numbered by their first (central product, vector);
-    # a central term z multiplies every product set of the key by z
-    def key_at(z: int, e: bytes) -> tuple[int, ...]:
-        return tuple(mul_mask(m, z) for m in keys[e])
+    def split(z1: int, e1: bytes, z2: int, e2: bytes) -> None:
+        for g in nc:
+            k1, k2 = key_at(z1, _plus(e1, g)), key_at(z2, _plus(e2, g))
+            if k1 != k2:
+                t = next(t for t, (m1, m2) in enumerate(zip(k1, k2)) if m1 != m2)
+                splitters.add(_plus(contexts[t], g))
 
+    if splitters is not None:
+        for e, key in list(seen.items()):
+            if least[key] != e:
+                split(0, e, 0, least[key])
+
+    # the classes z*D, numbered by their first (central product, vector)
     index: dict[tuple[int, ...], int] = {}
     members: list[tuple[int, bytes]] = []
     for z in sorted(center):
         for e in least.values():
-            key = key_at(z, e)
-            if key not in index:
-                index[key] = len(members)
+            first = index.setdefault(key_at(z, e), len(members))
+            if first == len(members):
                 members.append((z, e))
+            elif splitters is not None:
+                split(z, e, *members[first])
     if len(members) > CLASS_CAP:
         raise over_budget(f"{len(members)} classes", f"the cap {CLASS_CAP}")
 
     def successor(z: int, e: bytes, g: int) -> int:
         if g in center:
             return index[key_at(group.mul[z][g], e)]
-        f = bytearray(e)
-        f[g] += 1
-        return index[key_at(z, bytes(f))]
+        return index[key_at(z, _plus(e, g))]
 
     step = [[successor(z, e, g) for z, e in members] for g in range(n)]
-    representatives = []
-    for z, e in members:
-        exps = bytearray(e)
-        if z:
-            exps[z] = 1
-        representatives.append(Sequence(group, tuple(exps)))
+    representatives = tuple(Sequence(group, tuple(_plus(e, z) if z else e))
+                            for z, e in members)
 
-    # op[c][d] walks c along the terms of d's representative
-    op = []
-    for c in range(len(members)):
-        row = []
-        for rep in representatives:
-            cls = c
-            for g, e in enumerate(rep.exps):
-                for _ in range(e):
-                    cls = step[g][cls]
-            row.append(cls)
-        op.append(tuple(row))
+    def walk(c: int, rep: Sequence) -> int:
+        """op[c][d]: c walked along the terms of d's representative."""
+        for g, e in enumerate(rep.exps):
+            for _ in range(e):
+                c = step[g][c]
+        return c
 
+    op = tuple(tuple(walk(c, rep) for rep in representatives)
+               for c in range(len(members)))
     pi_masks = tuple(pi_mask(rep.exps) for rep in representatives)
     return ClassSemigroup(group, structure, tuple(step[g][0] for g in range(n)),
-                          tuple(op), tuple(bool(m & 1) for m in pi_masks),
-                          pi_masks, tuple(representatives),
-                          {"attempt": max_len, "states": len(keys)})
+                          op, tuple(bool(m & 1) for m in pi_masks),
+                          pi_masks, representatives,
+                          {"states": len(seen), "contexts": width,
+                           "context_len": longest})
 
 
 # -- validation ---------------------------------------------------------------
 
 
-def _validate_structure(semi: ClassSemigroup, engine: PiEngine) -> None:
+def _validate_structure(semi: ClassSemigroup) -> None:
     group = semi.group
     n_cl = semi.n_classes
-    op = semi.op
-    rng = range(n_cl)
-    for i in rng:
-        for j in rng:
-            oij = op[i][j]
-            if oij != op[j][i]:
-                raise ValidationFailure("operation table is not commutative")
-            for k in rng:
-                if op[oij][k] != op[i][op[j][k]]:
-                    raise ValidationFailure("operation table is not associative")
-    for c in rng:
-        if op[semi.zero][c] != c:
-            raise ValidationFailure("empty class is not the identity")
+    op = tuple(map(tuple, semi.op))
+    if tuple(zip(*op)) != op:
+        raise ValidationFailure("operation table is not commutative")
+    if op[semi.zero] != tuple(range(n_cl)):
+        raise ValidationFailure("empty class is not the identity")
+    # Light's test over the singletons: the identity passes it, and every
+    # class reached from it by singleton steps is a product of passing
+    # middles, so the whole table is associative
+    reached, seen = [semi.zero], {semi.zero}
+    for c in reached:
+        new = set(map(op[c].__getitem__, semi.singletons)) - seen
+        seen |= new
+        reached += new
+    if len(reached) != n_cl:
+        raise ValidationFailure("singletons do not generate the table")
+    if light_failure(op, semi.singletons):
+        raise ValidationFailure("operation table is not associative")
     if n_cl < group.order:
         raise ValidationFailure("fewer classes than group elements")
     if len(set(semi.singletons)) != group.order:
         raise ValidationFailure("distinct singletons merged")
-    for c in rng:
-        if semi.accept[c] != bool(semi.pi_masks[c] & 1):
-            raise ValidationFailure("acceptance disagrees with product set")
+    if tuple(semi.accept) != tuple(bool(m & 1) for m in semi.pi_masks):
+        raise ValidationFailure("acceptance disagrees with product set")
 
     _validate_units(semi)
     _validate_idempotents(semi)
     _validate_quotient_copy(semi)
     _validate_coset_epimorphism(semi)
-    _validate_zero_class(semi, engine)
+    _validate_zero_class(semi)
     if len(semi.structure.commutator.members) == 2:
         _validate_commutator_two(semi)
 
@@ -404,25 +435,19 @@ def _validate_coset_epimorphism(semi: ClassSemigroup) -> None:
                 raise ValidationFailure("coset map is not a homomorphism")
 
 
-def _validate_zero_class(semi: ClassSemigroup, engine: PiEngine) -> None:
-    """A sequence lies in the zero class iff S_nc is empty and S is
-    product-one, checked on every sequence up to ``ZERO_CLASS_CHECK_LEN``."""
-    group = semi.group
-    pi, inv = engine.pi_mask, group.inv
-    for exps, cls, z, nc in _sweep(semi, ZERO_CLASS_CHECK_LEN):
-        expected = not any(nc) and bool(pi(nc) >> inv[z] & 1)
-        if (cls == semi.zero) != expected:
-            seq = Sequence(group, tuple(exps))
-            raise ValidationFailure(f"zero class mismatch at {seq.display()}")
+def _validate_zero_class(semi: ClassSemigroup) -> None:
+    """S lies in the zero class iff S_nc is empty and S is product-one, that
+    is z = 1; checked on every sequence up to ``ZERO_CLASS_CHECK_LEN``."""
+    zero = semi.zero
+    _check_states(semi, ZERO_CLASS_CHECK_LEN, "zero class",
+                  lambda cls, z, nc: (cls == zero) == (not z and not any(nc)))
 
 
 def _validate_commutator_two(semi: ClassSemigroup) -> None:
     group = semi.group
     center = semi.structure.center.members
-    bound = len(center)
-    for g in range(group.order):
-        if g not in center:
-            bound *= group.element_order(g)
+    bound = len(center) * prod(group.element_order(g)
+                               for g in range(group.order) if g not in center)
     if semi.n_classes > bound:
         raise ValidationFailure("size bound for commutator of order 2 violated")
     for g in range(group.order):
@@ -438,105 +463,97 @@ def _validate_commutator_two(semi: ClassSemigroup) -> None:
                     "odd power sequence does not match its product singleton")
 
 
-def _sweep(semi: ClassSemigroup, max_len: int):
-    """(exps, cls, z, nc) for every multiset of length <= ``max_len``, by
-    length and then in the order of ``iter_multisets_exact``.
+def _walk(semi: ClassSemigroup, exps) -> tuple[int, int, bytes]:
+    """(class, z, S_nc) of an exponent vector: its walk through ``op``, the
+    product z of its central terms, and the vector with those slots zeroed."""
+    op, single, mul = semi.op, semi.singletons, semi.group.mul
+    center = semi.structure.center.members
+    cls = z = 0
+    nc = bytearray(exps)
+    for g, e in enumerate(exps):
+        for _ in range(e):
+            cls = op[cls][single[g]]
+        if g in center:
+            z, nc[g] = mul[z][semi.group.power(g, e)], 0
+    return cls, z, bytes(nc)
 
-    ``cls`` is ``class_of`` of the multiset, ``z`` the product of its central
-    terms and ``nc`` the bytes of S_nc, its exponent vector with the central
-    slots zeroed, so S is product-one iff bit ``inv[z]`` of pi(S_nc) is set.
-    ``exps`` is the walk's own list: copy it to keep it.
 
-    The walk is depth-first over the slots 0..n-1 with ascending exponents,
-    unrolled into the successor loop of ``iter_multisets_exact``.  Slot i
-    carries the class and central product of the slots before it, so raising
-    its exponent by one is one ``op[cls][singletons[i]]`` step, the step
-    ``class_of`` takes; only the last slot, which takes the remaining length,
-    is walked at every leaf.
+def _triples(semi: ClassSemigroup, max_len: int):
+    """The (class, z, S_nc) triples of all sequences of length <= ``max_len``.
+
+    The slots 0..n-1 are walked in order with ``_walk``'s steps, and a state
+    (class, z, S_nc prefix) is kept with the least length that reaches it:
+    every way to finish a longer prefix finishes the least one too.  So the
+    triples are exactly the sequences' triples, for any table.  At a central
+    slot, exponents that reach one (class, z) merge, and an exponent that
+    reaches a state held at no greater length ends its loop.  One slot's
+    states are held, each packed in an int; the last slot's are yielded.
     """
     group = semi.group
-    n = group.order
+    n, n_cl = group.order, len(semi.op)
     op, single, mul = semi.op, semi.singletons, group.mul
     center = semi.structure.center.members
-    central = [g in center for g in range(n)]
-    last = n - 1
-    s_last, last_central = single[last], central[last]
-    for total in range(max_len + 1):
-        x = [0] * n
-        x[last] = total
-        nc = bytearray(n)
-        # cls_at[i], z_at[i]: the class and central product of slots < i
-        cls_at = [0] * n
-        z_at = [0] * n
-        while True:
-            cls, z, r = cls_at[last], z_at[last], x[last]
-            for _ in range(r):
-                cls = op[cls][s_last]
-            if last_central:
-                for _ in range(r):
-                    z = mul[z][last]
-            else:
-                nc[last] = r
-            yield x, cls, z, bytes(nc)
-            if r and last:
-                j = last     # move one unit from the last slot to slot j - 1
-                x[last] = r - 1
-            else:
-                j = last - 1
-                while j > 0 and not x[j]:
-                    j -= 1
-                if j <= 0:
-                    break    # slot 0 holds the whole length
-                x[last] = x[j] - 1
-                x[j] = 0
-                if not central[j]:
-                    nc[j] = 0
-            g = j - 1
-            x[g] += 1
-            if central[g]:
-                z_at[j] = mul[z_at[j]][g]
-            else:
-                nc[g] += 1
-            cls_at[j] = op[cls_at[j]][single[g]]
-            for i in range(j + 1, n):
-                cls_at[i], z_at[i] = cls_at[j], z_at[j]
+    base = n * n_cl
+    states = {semi.zero: 0}  # S_nc * base + z * n_cl + class -> least length
+    for g in range(n):
+        # a central g steps z, any other the S_nc prefix
+        s, zg, unit = ((single[g], g, 0) if g in center
+                       else (single[g], 0, 1 << 8 * (n - 1 - g)))
+        nxt: dict[int, int] = {}
+        while states:  # popping frees each state as its successors are made
+            state, used = states.popitem()
+            nc, state = divmod(state, base)
+            z, cls = divmod(state, n_cl)
+            for k in range(used, max_len + 1):
+                if k > used:
+                    cls, z, nc = op[cls][s], mul[z][zg], nc + unit
+                if g == n - 1:
+                    yield cls, z, nc.to_bytes(n, "big")
+                    continue
+                state = nc * base + z * n_cl + cls
+                if nxt.get(state, k + 1) <= k:
+                    break
+                nxt[state] = k
+        states = nxt
+
+
+def _check_states(semi: ClassSemigroup, max_len: int, what: str, ok) -> None:
+    """Check ok(class, z, S_nc) on every triple of ``_triples``.  On a
+    failure, name the first sequence in ``iter_multisets`` order whose
+    triple fails, as a per-sequence sweep would."""
+    if all(ok(*triple) for triple in _triples(semi, max_len)):
+        return
+    for exps in iter_multisets(semi.group.order, max_len):
+        if not ok(*_walk(semi, exps)):
+            raise ValidationFailure(
+                f"{what} mismatch at {Sequence(semi.group, exps).display()}")
+    raise ValidationFailure(f"{what} mismatch")
 
 
 def _validate_recognition(semi: ClassSemigroup, engine: PiEngine,
                           seed: int) -> None:
     """Compare acceptance through the reported table with direct
     product-one tests: every sequence up to the exhaustive length, then
-    N_RANDOM seeded longer ones.
-
-    The class of a sequence is the walk ``class_of`` takes through ``op``,
-    and S is product-one iff z^-1 lies in pi(S_nc), where z is the product
-    of its central terms (the identity ``PiEngine.pi_mask`` applies).  The
-    exhaustive part runs on ``_sweep``, so a sequence carries the walk of
-    its parent in the slot tree.  Neither part writes a product-set memo
-    entry for the full key, or builds a ``Sequence`` but for the message of
-    a mismatch.
+    N_RANDOM seeded longer ones.  S is product-one iff z^-1 lies in
+    pi(S_nc), z the product of its central terms, so the check of S depends
+    only on its triple (class, z, S_nc).  The exhaustive part checks each
+    triple of ``_triples`` once, which covers all comb(l + n, n) sequences
+    of length <= l: the count reported.
     """
     from .factor import small_davenport
     group = semi.group
     n = group.order
-    op, single, accept, mul, inv = (semi.op, semi.singletons, semi.accept,
-                                    group.mul, group.inv)
+    accept, inv = semi.accept, group.inv
     pi = engine.pi_mask
     l_target = small_davenport(group, engine) + 4
     l_exh = l_target
     while l_exh > 1 and comb(l_exh + n, n) > EXHAUSTIVE_BUDGET:
         l_exh -= 1
 
-    def mismatch(where: str, exps) -> ValidationFailure:
-        seq = Sequence(group, tuple(exps))
-        return ValidationFailure(f"recognition mismatch at {where}{seq.display()}")
+    def ok(cls: int, z: int, nc: bytes) -> bool:
+        return accept[cls] == bool(pi(nc) >> inv[z] & 1)
 
-    checked = 0
-    for exps, cls, z, nc in _sweep(semi, l_exh):
-        if accept[cls] != bool(pi(nc) >> inv[z] & 1):
-            raise mismatch("", exps)
-        checked += 1
-    center = semi.structure.center.members
+    _check_states(semi, l_exh, "recognition", ok)
     rng = random.Random(seed)
     l_max = 2 * l_target
     for _ in range(N_RANDOM):
@@ -544,21 +561,12 @@ def _validate_recognition(semi: ClassSemigroup, engine: PiEngine,
         exps = [0] * n
         for _ in range(length):
             exps[rng.randrange(n)] += 1
-        cls = z = 0
-        nc = bytearray(exps)
-        for g, e in enumerate(exps):
-            s = single[g]
-            for _ in range(e):
-                cls = op[cls][s]
-            if g in center:
-                for _ in range(e):
-                    z = mul[z][g]
-                nc[g] = 0
-        if accept[cls] != bool(pi(bytes(nc)) >> inv[z] & 1):
-            raise mismatch("random ", exps)
+        if not ok(*_walk(semi, exps)):
+            seq = Sequence(group, tuple(exps))
+            raise ValidationFailure(f"recognition mismatch at random {seq.display()}")
     semi.provenance.update({
         "recognition_exhaustive_len": l_exh,
-        "recognition_exhaustive_count": checked,
+        "recognition_exhaustive_count": comb(l_exh + n, n),
         "recognition_random_count": N_RANDOM,
         "recognition_random_max_len": l_max,
     })
@@ -596,16 +604,11 @@ def unit_and_quotient_subgroups(semi: ClassSemigroup) -> UnitQuotientReport:
     _validate_units(semi)
     _validate_quotient_copy(semi)
     _validate_coset_epimorphism(semi)
-    units = semi.units()
     unit_map = tuple((z, semi.singletons[z])
                      for z in sorted(semi.structure.center.members))
     copy = quotient_copy(semi)
-    return UnitQuotientReport(
-        units=units,
-        unit_map=unit_map,
-        quotient_classes=tuple(c for _, _, c in copy),
-        quotient_map=tuple((rep, c) for rep, _, c in copy),
-    )
+    return UnitQuotientReport(semi.units(), unit_map, tuple(c for _, _, c in copy),
+                              tuple((rep, c) for rep, _, c in copy))
 
 
 @dataclass(frozen=True)

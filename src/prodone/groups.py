@@ -78,20 +78,9 @@ class Group:
         for g in rng:
             if self.mul[0][g] != g or self.mul[g][0] != g:
                 raise GroupValidationError("index 0 is not a two-sided identity")
-        # Light's test: the elements s with (a*s)*b == a*(s*b) for all a, b
-        # are closed under products, so checking a generating set proves the
-        # whole table associative.  Generators are picked by index, since
-        # element orders mean nothing before associativity is known.
-        mul = self.mul
-        for s in greedy_generators(self, rng):
-            rs = mul[s]
-            for a in rng:
-                ra = mul[a]
-                ras = mul[ra[s]]
-                if tuple(map(ra.__getitem__, rs)) != ras:
-                    b = next(b for b in rng if ras[b] != ra[rs[b]])
-                    raise GroupValidationError(
-                        f"associativity fails at ({a},{s},{b})")
+        # Light's test over generators picked by index (orders mean nothing yet)
+        if bad := light_failure(self.mul, greedy_generators(self, rng)):
+            raise GroupValidationError("associativity fails at (%d,%d,%d)" % bad)
 
     def _find_inverse(self, g: int) -> int:
         candidates = [h for h in range(self.order)
@@ -275,6 +264,21 @@ def greedy_generators(group: Group, candidates: Iterable[int]) -> tuple[int, ...
             gens.append(g)
             members = closure_of(group, gens)
     return tuple(gens)
+
+
+def light_failure(op, middles: Iterable[int]) -> Optional[tuple[int, int, int]]:
+    """Light's test on a table of tuple rows: the first (a, s, b) with
+    (a*s)*b != a*(s*b), s in ``middles``, or None.  The passing middles are
+    closed under products, so if they generate the table it is associative."""
+    rng = range(len(op))
+    for s in middles:
+        rs = op[s]
+        for a in rng:
+            ra = op[a]
+            ras = op[ra[s]]
+            if tuple(map(ra.__getitem__, rs)) != ras:
+                return a, s, next(b for b in rng if ras[b] != ra[rs[b]])
+    return None
 
 
 def _extend_hom(group: Group, gens: Seq[int],

@@ -86,13 +86,6 @@ class Sequence:
     def support(self) -> tuple[int, ...]:
         return tuple(g for g, e in enumerate(self.exps) if e > 0)
 
-    def support_mask(self) -> int:
-        m = 0
-        for g, e in enumerate(self.exps):
-            if e > 0:
-                m |= 1 << g
-        return m
-
     def concat(self, other: "Sequence") -> "Sequence":
         self._same_group(other)
         return Sequence(self.group, tuple(a + b for a, b in zip(self.exps, other.exps)))

@@ -6,7 +6,9 @@ no sharing of code paths with the package's dynamic programming, except
 and checks only how the atom scan finds its candidates.  Likewise
 `oracle_zero_class` and `oracle_recognition` keep `ClassSemigroup.class_of`
 and `PiEngine.is_product_one`, one `Sequence` at a time, and check only how
-the class semigroup's sweeps carry their walk; `oracle_semigroup_davenport`
+the class semigroup's checks merge sequences into slot-walk states;
+`oracle_associative` tests every triple of the table, where the validator
+runs Light's test over the one-term classes; `oracle_semigroup_davenport`
 recounts every sub-multiset sum of every frontier candidate; and
 `oracle_pi_lattice` keeps the central split of `PiEngine.pi_mask` but fills
 the whole sub-multiset lattice, with no stop at the commutator coset; and
@@ -280,6 +282,15 @@ def oracle_lengths(seq: Sequence) -> set[int]:
         return out
 
     return rec(seq)
+
+
+def oracle_associative(op) -> bool:
+    """Whether (a*b)*c == a*(b*c) on every triple: the cubic loop that
+    Light's test over the one-term classes (`groups.light_failure`)
+    replaces in `classsemi._validate_structure`."""
+    rng = range(len(op))
+    return all(op[op[a][b]][c] == op[a][op[b][c]]
+               for a in rng for b in rng for c in rng)
 
 
 def oracle_zero_class(semi, engine: PiEngine) -> None:

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from oracles import oracle_recognition, oracle_zero_class
+from oracles import oracle_associative, oracle_recognition, oracle_zero_class
 from prodone.classsemi import (
     _validate_recognition,
     _validate_structure,
@@ -20,7 +20,7 @@ from prodone.classsemi import (
     unit_and_quotient_subgroups,
 )
 from prodone.errors import ValidationFailure
-from prodone.groups import abelian_invariants, parse_group
+from prodone.groups import abelian_invariants, light_failure, parse_group
 from prodone.invariants import semigroup_davenport
 from prodone.sequences import PiEngine, Sequence, iter_multisets
 
@@ -291,8 +291,9 @@ def test_d8_reflection_pair_relations(groups, class_semigroups):
 
 
 def test_build_rejects_oversized_groups():
-    """D14 passes the class cap during the search at context length 1, so
-    the build stops early and says how far it got."""
+    """D14 passes the class cap in the second round of the context search,
+    over contexts of length <= 1, so the build stops early and says how far
+    it got."""
     import time
     from prodone.classsemi import CLASS_CAP
     from prodone.errors import BudgetExceededError
@@ -300,7 +301,7 @@ def test_build_rejects_oversized_groups():
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError,
                        match=rf"context length 1 exceed the cap {CLASS_CAP} "
-                             r"\(counts at shorter context lengths: \[124\]\)"):
+                             r"\(class counts of earlier rounds: \[124\]\)"):
         build(d14)
     assert time.perf_counter() - start < 20
 
@@ -341,15 +342,16 @@ def _failure(check, *args):
     return None
 
 
-@pytest.mark.parametrize("spec", ["C6", "C2xC4", "D6", "D8", "Q8"])
+@pytest.mark.parametrize("spec", ["C6", "C2xC4", "D6", "D8", "Q8", "C2xD6", "D12"])
 def test_sweeps_match_their_oracles(spec):
-    """The slot-walk sweeps pass where the per-sequence sweeps pass, with
-    the same recognition counts, on a table that builds and validates."""
+    """The checks over merged slot-walk states pass where the per-sequence
+    sweeps pass, with the same recognition counts, on a table that builds
+    and validates."""
     group = parse_group(spec)
     semi = discover_folds(group)
     found = dict(semi.provenance)
     engine, oracle_engine = PiEngine(group), PiEngine(group)
-    assert _failure(_validate_zero_class, semi, engine) is None
+    assert _failure(_validate_zero_class, semi) is None
     assert _failure(oracle_zero_class, semi, oracle_engine) is None
     _validate_recognition(semi, engine, 0)
     ours, semi.provenance = semi.provenance, dict(found)
@@ -363,28 +365,35 @@ def test_sweeps_match_their_oracles(spec):
                          [("D6", 0, 12), ("D6", 1, 23), ("D8", 0, 12), ("Q8", 0, 12),
                           ("D10", 2, 187)])
 def test_underexplored_table_is_caught_by_validation(spec, max_len, n_classes):
-    """Contexts too short to tell every class apart give a table that
-    fails both the structural checks and the recognition sweep.  The
-    sweeps fail at the sequence where the per-sequence oracles fail."""
+    """Contexts too short to tell every class apart (all of length <= L)
+    give a table that fails both the structural checks and the recognition
+    sweep.  The checks fail at the sequence where the per-sequence oracles
+    fail."""
     group = parse_group(spec)
     engine = PiEngine(group)
-    semi = explore(group, max_len, engine)
+    semi = explore(group, list(map(bytes, iter_multisets(group.order, max_len))),
+                   engine)
     assert semi.n_classes == n_classes
     with pytest.raises(ValidationFailure):
-        _validate_structure(semi, engine)
+        _validate_structure(semi)
     message = _failure(_validate_recognition, semi, engine, 0)
     assert message is not None
     assert message == _failure(oracle_recognition, semi, PiEngine(group), 0)
-    assert _failure(_validate_zero_class, semi, engine) == \
+    assert _failure(_validate_zero_class, semi) == \
         _failure(oracle_zero_class, semi, PiEngine(group))
 
 
 def test_growing_context_length_until_the_count_is_stable(class_semigroups):
-    for spec, counts in (("D6", [12, 23, 26, 26]), ("Q8", [12, 18, 18]),
-                         ("D8", [12, 18, 18])):
+    """The context list grows from the empty context, round by round, until
+    the table's successors are consistent; the class count of each round
+    and the index of the last are in the provenance."""
+    for spec, counts, contexts, longest in (("D6", [12, 23, 26], 9, 2),
+                                            ("Q8", [12, 18], 7, 1),
+                                            ("D8", [12, 18], 7, 1)):
         prov = class_semigroups[spec][0].provenance
         assert prov["class_counts"] == counts
         assert prov["attempt"] == len(counts) - 1
+        assert (prov["contexts"], prov["context_len"]) == (contexts, longest)
 
 
 @pytest.fixture(scope="module")
@@ -396,7 +405,7 @@ def test_d12_class_semigroup_passes_every_validator(d12_semigroup):
     """build runs every validator before it returns the table."""
     assert d12_semigroup.n_classes == 52
     assert len(d12_semigroup.units()) == 2
-    assert d12_semigroup.provenance["class_counts"] == [24, 46, 52, 52]
+    assert d12_semigroup.provenance["class_counts"] == [24, 46, 52]
 
 
 def test_c2xd6_class_semigroup_passes_every_validator():
@@ -404,7 +413,7 @@ def test_c2xd6_class_semigroup_passes_every_validator():
     semi = build(parse_group("C2xD6"))
     assert semi.n_classes == 52
     assert len(semi.units()) == 2
-    assert semi.provenance["class_counts"] == [24, 46, 52, 52]
+    assert semi.provenance["class_counts"] == [24, 46, 52]
 
 
 def test_d12_semigroup_davenport(d12_semigroup):
@@ -449,7 +458,7 @@ def test_c2xd6_table_is_isomorphic_to_the_validated_d12_table(d12_semigroup):
     a_semi = d12_semigroup
     b_semi = discover_folds(parse_group("C2xD6"))
     a, b = a_semi.group, b_semi.group
-    assert b_semi.provenance["class_counts"] == [24, 46, 52, 52]
+    assert b_semi.provenance["class_counts"] == [24, 46, 52]
     phi = _isomorphism(a, b)
     cmap = []
     for c in range(a_semi.n_classes):
@@ -473,11 +482,12 @@ def test_memo_cap_bounds_the_keyed_sequences(groups):
     """More keyed sequences than the memo cap over the number of contexts
     stop the search before they are keyed."""
     from prodone.errors import BudgetExceededError
-    engine = PiEngine(groups["D6"], memo_cap=200)  # 84 contexts at L = 3
+    engine = PiEngine(groups["D6"], memo_cap=200)
+    contexts = list(map(bytes, iter_multisets(6, 3)))  # 84, of length <= 3
     with pytest.raises(BudgetExceededError,
                        match=r"3 sequences keyed over 84 contexts at context "
                              r"length 3 exceed the memo cap 200"):
-        explore(groups["D6"], 3, engine)
+        explore(groups["D6"], contexts, engine)
 
 
 def test_recognition_checks_the_reported_table(groups, class_semigroups, engines):
@@ -506,3 +516,133 @@ def test_units_of_abelian_fixture_match_group(groups, engines):
     from prodone.groups import Group
     as_group = Group(table)
     assert abelian_invariants(as_group) == abelian_invariants(c6)
+
+
+def _generated(op, singletons) -> bool:
+    reached = {0}
+    frontier = [0]
+    for c in frontier:
+        for s in singletons:
+            if op[c][s] not in reached:
+                reached.add(op[c][s])
+                frontier.append(op[c][s])
+    return len(reached) == len(op)
+
+
+@pytest.mark.parametrize("spec", ["C6", "C2xC4", "D6", "D8", "Q8", "D12"])
+def test_light_test_matches_the_cubic_oracle(spec, class_semigroups, d12_semigroup):
+    """Light's test over the singletons agrees with the test of every
+    triple on the built table, and on tables with one op entry changed
+    symmetrically (still commutative, mostly not associative) whose
+    singletons still generate every class; the validator rejects the
+    tables that fail."""
+    import copy
+    if spec == "D12":
+        semi = d12_semigroup
+    elif spec in class_semigroups:
+        semi = class_semigroups[spec][0]
+    else:
+        semi = build(parse_group(spec))
+    assert light_failure(semi.op, semi.singletons) is None
+    assert oracle_associative(semi.op)
+    rng = random.Random(7)
+    n = semi.n_classes
+    verdicts = []
+    for _ in range(40):
+        i, j = sorted(rng.sample(range(1, n), 2)) if n > 2 else (1, 1)
+        k = rng.choice([c for c in range(n) if c != semi.op[i][j]])
+        rows = [list(row) for row in semi.op]
+        rows[i][j] = rows[j][i] = k
+        op = tuple(map(tuple, rows))
+        if not _generated(op, semi.singletons):
+            continue
+        light = light_failure(op, semi.singletons) is None
+        assert light == oracle_associative(op)
+        verdicts.append(light)
+        if not light:
+            bad = copy.copy(semi)
+            bad.op = op
+            assert _failure(_validate_structure, bad) == \
+                "operation table is not associative"
+    assert False in verdicts
+
+
+def test_light_test_needs_generating_singletons(groups, engines):
+    """A class that the singletons do not reach can break associativity
+    where Light's test over the singletons does not look, so the validator
+    first checks that the singletons generate every class."""
+    import copy
+    semi = build(groups["C2"], engine=engines["C2"])
+    assert semi.op == ((0, 1), (1, 0)) and semi.singletons == (0, 1)
+    bad = copy.copy(semi)
+    bad.op = ((0, 1, 2), (1, 0, 2), (2, 2, 0))  # (x x) 1 = 1, x (x 1) = 0
+    assert light_failure(bad.op, bad.singletons) is None
+    assert not oracle_associative(bad.op)
+    assert _failure(_validate_structure, bad) == "singletons do not generate the table"
+
+
+@pytest.mark.parametrize("spec,before,central", [
+    ("C6", "g", "g2"), ("D8", "a", "a2"), ("Q8", "K", "-E"),
+    ("C6", "g4", "g5"), ("D8", "a2b", "a3b")])
+def test_central_slot_corruption_fails_with_the_oracle_messages(spec, before, central):
+    """One op entry reached only through one singleton (central, or the
+    last slot's), at the step from the slot before it, sends a two-term
+    sequence to the zero class.  The checks over merged states, where
+    exponents at a central slot merge, must fail with the per-sequence
+    oracles' messages."""
+    import copy
+    group = parse_group(spec)
+    semi = discover_folds(group)
+    c, s = semi.singletons[group.index_of(before)], semi.singletons[group.index_of(central)]
+    assert semi.op[c][s] != semi.zero
+    bad = copy.copy(semi)
+    bad.op = tuple(tuple(semi.zero if (i, j) == (c, s) else cls
+                         for j, cls in enumerate(row))
+                   for i, row in enumerate(semi.op))
+    bad.provenance = dict(semi.provenance)
+    recognition = _failure(_validate_recognition, bad, PiEngine(group), 0)
+    assert recognition.startswith("recognition mismatch at ")
+    assert recognition == _failure(oracle_recognition, bad, PiEngine(group), 0)
+    zero = _failure(_validate_zero_class, bad)
+    assert zero.startswith("zero class mismatch at ")
+    assert zero == _failure(oracle_zero_class, bad, PiEngine(group))
+
+
+@pytest.fixture(scope="module")
+def d10_semigroup():
+    return build(parse_group("D10"))
+
+
+def test_d10_class_semigroup_passes_every_validator(d10_semigroup):
+    """D10's 227 classes, found in five rounds of the context search, pass
+    every validator, with every sequence of length <= 7 checked."""
+    semi = d10_semigroup
+    assert semi.n_classes == 227
+    assert len(semi.idempotents()) == 8
+    assert len(semi.units()) == 1
+    prov = semi.provenance
+    assert prov["class_counts"] == [42, 122, 187, 222, 227]
+    assert prov["recognition_exhaustive_len"] == 7
+    assert prov["recognition_exhaustive_count"] == 19_448 == comb(17, 10)
+
+
+@pytest.mark.parametrize("spec", ["C6", "D6", "D8", "Q8"])
+def test_merged_states_are_the_sequences_triples(spec):
+    """The merged slot walk yields exactly the (class, z, S_nc) triples of
+    the sequences up to the exhaustive length, on the built table, on an
+    under-explored one and on one with a corrupted central-slot entry."""
+    import copy
+    from prodone.classsemi import _triples, _walk
+    group = parse_group(spec)
+    engine = PiEngine(group)
+    built = discover_folds(group, engine)
+    under = explore(group, [bytes(group.order)], engine)
+    bad = copy.copy(built)
+    z = max(built.structure.center.members)
+    c, s = built.singletons[z - 1], built.singletons[z]
+    bad.op = tuple(tuple(0 if (i, j) == (c, s) else cls for j, cls in enumerate(row))
+                   for i, row in enumerate(built.op))
+    max_len = 9 if spec == "C6" else 7
+    for semi in (built, under, bad):
+        assert set(_triples(semi, max_len)) == \
+            {_walk(semi, exps) for exps in iter_multisets(group.order, max_len)}

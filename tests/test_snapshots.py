@@ -42,13 +42,13 @@ SNAPSHOTS = [
     (["check", "D6", "--property", "krull"],
      "0624f4d3d9a50093d333ba48bc48b129cb5c2da5e7405216c8fb0efcede46da0"),
     (["class-semigroup", "D6"],
-     "fed865e3643b8b9f59483bf542c3ea0a3adff7593a1557430a035bd586d7184b"),
+     "7db44ad2b268d1811389752c302caa20afe57091f5b95c47280be7744b0a0787"),
     (["class-semigroup", "Q8"],
-     "f2417fad52e0df85216e4b63f90ddb50a462aeea09d7724bdd64262d13d991d2"),
+     "3a0c5cea9c43f9df639aec8ca53d193e08e5ed3387618e78a9ccc6b39a7d7b6f"),
     (["omega", "D6"],
      "5d750828cf63b03d5fc55567b8e74a2080476e6ef0e5e435e89b2d62dd08b9f2"),
     (["semigroup-davenport", "D6"],
-     "54f2eedb5fada265097518105f3ddc9e9d346de83e085f89d05f8aca3577bdec"),
+     "0380b623bba577689f3aa0bf2661b1dc85c205c8b997b2f02e6cc98f6bc247bd"),
 ]
 
 
