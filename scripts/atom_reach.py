@@ -1,20 +1,23 @@
-"""Atoms and Davenport constants of D18 and D20, and the full two-atom
-splitting scan of D18, beyond the tier-1 tests.
+"""Atoms and Davenport constants of D18, D20, D22 and D24, and the full
+two-atom splitting scan of D18, beyond the tier-1 tests.
 
 Each row runs in a fresh child process: ``factor.enumerate_atoms`` (the
 split-generated atom scan) and ``factor.davenport`` on the atom set, which
-also finds d(G) and checks its witness, for D18 and D20; and
+also finds d(G) and checks its witness, for D18, D20, D22 and D24; and
 ``checks.property_P`` over all of D18 (row ``P D18``: verdict, bound and
 witness split).  D12, C2xD6, D14 and D16 are tier-1 tests in
 ``tests/test_factor.py`` and ``tests/test_cli.py``, and the P scan of D14
 is pinned in ``tests/test_checks.py``.
 
-    PYTHONPATH=src python3 scripts/atom_reach.py [--out PATH]
+    PYTHONPATH=src python3 scripts/atom_reach.py [--out PATH] [--side NAME]
 
-prints one line per row and writes the values, timings and peak RSS to
-PATH (default: the "reach" entry of BENCH_split_atoms.json, whose other
-entries are kept).  On a 2-core x86-64 machine D18 takes about 5 s and
-85 MB, D20 about 3 s and 50 MB, and P D18 about 1.1-1.5 s and 28 MB.
+prints one line per row and writes the values, timings and peak RSS to the
+"reach.NAME" entry of PATH (default BENCH_value_types.json and side
+"change"; other entries are kept).  Run it with PYTHONPATH on another
+checkout's ``src`` and ``--side parent`` to record that side.  On a 2-core
+x86-64 machine D18 takes about 5 s and 85 MB, D20 about 3 s and 50 MB, D22
+about 35 s and 450 MB, D24 about 15 s and 160 MB, and P D18 about 1.1-1.5 s
+and 28 MB.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from prodone import checks, factor
 from prodone.groups import analyze, parse_group
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-DEFAULT_OUT = os.path.join(os.path.dirname(HERE), "BENCH_split_atoms.json")
-ROWS = ("D18", "D20", "P D18")
+DEFAULT_OUT = os.path.join(os.path.dirname(HERE), "BENCH_value_types.json")
+ROWS = ("D18", "D20", "D22", "D24", "P D18")
 
 
 def measure(row: str) -> dict:
@@ -68,6 +71,7 @@ def measure(row: str) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=DEFAULT_OUT)
+    ap.add_argument("--side", default="change")
     ap.add_argument("--one", metavar="ROW",
                     help="measure one row and print it as JSON")
     args = ap.parse_args()
@@ -81,7 +85,8 @@ def main() -> None:
         rows[row] = json.loads(child.stdout)
         print(row, json.dumps(rows[row]), flush=True)
     reach = {
-        "command": "PYTHONPATH=src python3 scripts/atom_reach.py",
+        "command": "PYTHONPATH=<checkout>/src python3 scripts/atom_reach.py "
+                   f"--side {args.side}",
         "machine": f"{os.cpu_count()}-core {platform.machine()}, "
                    f"CPython {platform.python_version()}",
         "rows": rows,
@@ -90,7 +95,7 @@ def main() -> None:
     if os.path.exists(args.out):
         with open(args.out, "r", encoding="utf-8") as fh:
             out = json.load(fh)
-    out["reach"] = reach
+    out.setdefault("reach", {})[args.side] = reach
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")

@@ -32,8 +32,7 @@ coset; appending the inverse of one product gives the converse).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import ValidationFailure
 from .factor import FactorizationContext, atom_splits, is_atom
@@ -48,8 +47,7 @@ from .sequences import (
 PROPERTY_P_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     property: str
     holds: Optional[bool]          # None = unknown up to the bound
     reason: str

@@ -34,11 +34,10 @@ failure raises ``ValidationFailure``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import comb, prod
 from operator import add
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BudgetExceededError, ValidationFailure
 from .groups import Group, GroupStructure, analyze, light_failure
@@ -579,8 +578,7 @@ def are_equivalent(semi: ClassSemigroup, s1: Sequence, s2: Sequence) -> bool:
     return semi.class_of(s1) == semi.class_of(s2)
 
 
-@dataclass(frozen=True)
-class IdempotentReport:
+class IdempotentReport(NamedTuple):
     idempotents: tuple[int, ...]
     rees_pairs: tuple[tuple[int, int], ...]  # (e, f) with e <= f
     smallest: int
@@ -592,8 +590,7 @@ def idempotent_structure(semi: ClassSemigroup) -> IdempotentReport:
     return IdempotentReport(idems, pairs, semi.smallest_idempotent())
 
 
-@dataclass(frozen=True)
-class UnitQuotientReport:
+class UnitQuotientReport(NamedTuple):
     units: tuple[int, ...]
     unit_map: tuple[tuple[int, int], ...]      # (center element, class)
     quotient_classes: tuple[int, ...]
@@ -611,8 +608,7 @@ def unit_and_quotient_subgroups(semi: ClassSemigroup) -> UnitQuotientReport:
                               tuple((rep, c) for rep, _, c in copy))
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     is_clifford: bool
     regular: tuple[int, ...]
     non_regular: tuple[int, ...]

@@ -36,9 +36,8 @@ invariant under Aut(G).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import BudgetExceededError, SequenceError, ValidationFailure
 from .groups import Group, closure_of, mask_elements
@@ -52,12 +51,30 @@ from .sequences import (
 ATOM_ENUM_BUDGET = 5_000_000  # distinct splits across all lengths
 
 
-@dataclass(frozen=True)
 class AtomSet:
-    group: Group
-    support: tuple[int, ...]
-    atoms: tuple[Sequence, ...]
-    max_length: int
+    """The atoms over ``support`` and their greatest length; immutable by
+    convention."""
+
+    __slots__ = ("group", "support", "atoms", "max_length")
+
+    def __init__(self, group: Group, support: tuple[int, ...],
+                 atoms: tuple[Sequence, ...], max_length: int):
+        self.group = group
+        self.support = support
+        self.atoms = atoms
+        self.max_length = max_length
+
+    def __repr__(self) -> str:
+        return (f"AtomSet(group={self.group!r}, support={self.support!r}, "
+                f"atoms={self.atoms!r}, max_length={self.max_length!r})")
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, AtomSet) and self.support == other.support
+                and self.max_length == other.max_length
+                and self.atoms == other.atoms and self.group == other.group)
+
+    def __hash__(self) -> int:
+        return hash((self.support, self.atoms))
 
     def by_length(self, length: int) -> tuple[Sequence, ...]:
         return tuple(a for a in self.atoms if a.length == length)
@@ -66,8 +83,7 @@ class AtomSet:
         return len(self.atoms)
 
 
-@dataclass(frozen=True)
-class DavenportReport:
+class DavenportReport(NamedTuple):
     group: Group
     small: int
     large: int
@@ -75,8 +91,7 @@ class DavenportReport:
     atom_witness: Sequence
 
 
-@dataclass(frozen=True)
-class LengthSet:
+class LengthSet(NamedTuple):
     subject: Sequence
     lengths: tuple[int, ...]
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence as Seq
+from typing import Iterable, NamedTuple, Optional, Sequence as Seq
 
 from .errors import GroupSpecError, GroupValidationError
 
@@ -209,16 +208,19 @@ class Group:
         return hash(self.mul)
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    group: Group
-    members: frozenset[int]
-    generators: tuple[int, ...]
+    """The subgroup ``members`` of a group, generated by ``generators``;
+    immutable by convention.  The members must be the generators' closure."""
 
-    def __post_init__(self) -> None:
-        got = closure_of(self.group, self.generators)
-        if got != self.members:
+    __slots__ = ("group", "members", "generators")
+
+    def __init__(self, group: Group, members: frozenset[int],
+                 generators: tuple[int, ...]):
+        if closure_of(group, generators) != members:
             raise GroupValidationError("members do not match generator closure")
+        self.group = group
+        self.members = members
+        self.generators = generators
 
     @property
     def order(self) -> int:
@@ -230,9 +232,20 @@ class Subgroup:
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
+    def __repr__(self) -> str:
+        return (f"Subgroup(group={self.group!r}, members={self.members!r}, "
+                f"generators={self.generators!r})")
 
-@dataclass(frozen=True)
-class GroupStructure:
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Subgroup) and self.members == other.members
+                and self.generators == other.generators
+                and self.group == other.group)
+
+    def __hash__(self) -> int:
+        return hash(self.members)
+
+
+class GroupStructure(NamedTuple):
     group: Group
     center: Subgroup
     commutator: Subgroup

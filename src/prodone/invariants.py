@@ -18,9 +18,8 @@ machine-checked witness built from a maximal atom and its inverse sequence.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import add
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import BudgetExceededError, SequenceError, ValidationFailure
 from .factor import (
@@ -44,8 +43,7 @@ SEMIGROUP_FRONTIER_BUDGET = 2_000_000
 OMEGA_SUBSET_BUDGET = 1 << 22
 
 
-@dataclass(frozen=True)
-class UnionReport:
+class UnionReport(NamedTuple):
     k: int
     union: tuple[int, ...]
     rho: int
@@ -54,16 +52,14 @@ class UnionReport:
     n_canonical: int     # Aut(G)-orbits of Z_k, the products L was computed on
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(NamedTuple):
     delta: tuple[int, ...]
     length_bound: int
     exact: bool
     reason: str
 
 
-@dataclass(frozen=True)
-class OmegaReport:
+class OmegaReport(NamedTuple):
     lower: int
     upper: int
     exact: bool
@@ -73,8 +69,7 @@ class OmegaReport:
     per_atom: tuple[tuple[Sequence, int], ...]
 
 
-@dataclass(frozen=True)
-class SemigroupDavenport:
+class SemigroupDavenport(NamedTuple):
     small: int
     large: int
     size: int
@@ -253,8 +248,7 @@ def rho_even_certificate(inv: GroupInvariants, k: int) -> tuple[Sequence, int]:
     return witness, long
 
 
-@dataclass(frozen=True)
-class RhoReport:
+class RhoReport(NamedTuple):
     k_values: tuple[int, ...]
     rho: tuple[int, ...]
     enumerated: tuple[bool, ...]

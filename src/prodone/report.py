@@ -3,12 +3,12 @@
 Reports are plain dicts with a fixed key set; the JSON rendering is
 canonical (sorted keys, tight separators) so identical computations produce
 identical bytes, except for the timing field, which callers strip before
-byte comparisons.  Cache files are named by the hash of (group table,
-computation, parameters, schema version, package sources), so a report
-computed by other code is never served; writers go through a temp file and
-an atomic rename; corrupt entries (unparsable, with another key set than
-`make_report`'s, or with parameters, result or provenance not a dict) and
-stale ones are evicted.
+byte comparisons.  Cache files are named by the hash of (group spec, group
+table, computation, parameters, schema version, package sources), so a
+report computed by other code, or made for another spec, is never served;
+writers go through a temp file and an atomic rename; corrupt entries
+(unparsable, with another key set than `make_report`'s, or with parameters,
+result or provenance not a dict) and stale ones are evicted.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ def cache_key(group: Group, computation: str, parameters: dict) -> str:
         "source": source_digest(),
         "computation": computation,
         "parameters": parameters,
+        "spec": group.spec,
         "table": [list(row) for row in group.mul],
         "names": list(group.names),
     })

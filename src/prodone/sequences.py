@@ -16,7 +16,6 @@ needs.  All product sets are bitmasks over the group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError, SequenceError
@@ -26,19 +25,20 @@ DEFAULT_MEMO_CAP = 1 << 24
 MAX_MULTIPLICITY = 255  # exponent vectors pack into one byte per element
 
 
-@dataclass(frozen=True)
 class Sequence:
-    """Element of the free abelian monoid over a group: v_g multiplicities."""
+    """Element of the free abelian monoid over a group: v_g multiplicities.
+    Immutable by convention; equal sequences share group and exponents."""
 
-    group: Group
-    exps: tuple[int, ...]
+    __slots__ = ("group", "exps")
 
-    def __post_init__(self) -> None:
-        if len(self.exps) != self.group.order:
+    def __init__(self, group: Group, exps: tuple[int, ...]):
+        if len(exps) != group.order:
             raise SequenceError("exponent vector length does not match group order")
-        if min(self.exps) < 0 or max(self.exps) > MAX_MULTIPLICITY:
+        if min(exps) < 0 or max(exps) > MAX_MULTIPLICITY:
             raise SequenceError(
                 f"multiplicities must lie in 0..{MAX_MULTIPLICITY}")
+        self.group = group
+        self.exps = exps
 
     @staticmethod
     def empty(group: Group) -> "Sequence":
@@ -121,6 +121,18 @@ class Sequence:
         if self.group is not other.group and self.group != other.group:
             raise SequenceError("sequences belong to different groups")
 
+    def __repr__(self) -> str:
+        return f"Sequence(group={self.group!r}, exps={self.exps!r})"
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Sequence) and self.exps == other.exps
+                and (self.group is other.group or self.group == other.group))
+
+    def __hash__(self) -> int:
+        # equal sequences have equal exponents; hashing the group would hash
+        # its whole table
+        return hash(self.exps)
+
     def __str__(self) -> str:
         parts = []
         for g, e in enumerate(self.exps):
@@ -151,12 +163,14 @@ def _split_terms(literal: str) -> list[str]:
     return [t for t in out if t]
 
 
-@dataclass(frozen=True)
 class ProductSet:
-    """Subset of the group as a membership bitmask."""
+    """Subset of the group as a membership bitmask; immutable by convention."""
 
-    group: Group
-    mask: int
+    __slots__ = ("group", "mask")
+
+    def __init__(self, group: Group, mask: int):
+        self.group = group
+        self.mask = mask
 
     def __contains__(self, g: int) -> bool:
         return bool(self.mask >> g & 1)
@@ -170,9 +184,15 @@ class ProductSet:
     def names(self) -> tuple[str, ...]:
         return tuple(self.group.name(g) for g in self.elements())
 
+    def __repr__(self) -> str:
+        return f"ProductSet(group={self.group!r}, mask={self.mask!r})"
+
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ProductSet)
                 and self.mask == other.mask and self.group == other.group)
+
+    def __hash__(self) -> int:
+        return hash(self.mask)
 
 
 class PiEngine:

@@ -267,6 +267,25 @@ def test_cache_key_depends_on_parameters_and_table():
     assert cache_key(c3, "unions", {"k": 2}) != cache_key(c4, "unions", {"k": 2})
 
 
+def test_file_spec_does_not_hit_a_named_groups_entry(capsys, tmp_path):
+    """A file: table equal to D8's, names included, gets its own entry."""
+    d8 = parse_group("D8")
+    path = tmp_path / "d8.json"
+    path.write_text(json.dumps({
+        "order": 8, "table": [list(r) for r in d8.mul], "names": list(d8.names),
+    }))
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    assert run(["group", "D8", *cache]) == 0
+    capsys.readouterr()
+    jpath = tmp_path / "file.json"
+    assert run(["group", f"file:{path}", *cache, "--json", str(jpath)]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert not first.endswith("[cached]") and "D8" not in first
+    assert json.loads(jpath.read_text())["group_spec"] == f"file:{path}"
+    assert cache_key(d8, "group", {}) != cache_key(parse_group(f"file:{path}"),
+                                                    "group", {})
+
+
 def test_class_semigroup_reports_byte_stable(capsys, tmp_path):
     j1, j2 = tmp_path / "a.json", tmp_path / "b.json"
     run(["class-semigroup", "D6", "--json", str(j1), "--no-cache"])

@@ -1,5 +1,6 @@
 """What importing prodone loads: the package resolves its re-exports on first
-access, and each CLI call loads only the modules its subcommand runs.
+access, each CLI call loads only the modules its subcommand runs, and no
+import loads `dataclasses` or `inspect`.
 
 The loaded modules are listed in a fresh interpreter, since this process
 has imported every module already.
@@ -16,7 +17,6 @@ from pathlib import Path
 import pytest
 
 import prodone
-from prodone.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -36,6 +36,13 @@ HOMES = {
 }
 
 COMPUTATION = {"factor", "sequences", "invariants", "classsemi", "checks", "dot"}
+MODULES = sorted(p.stem for p in (SRC / "prodone").glob("*.py")
+                 if p.stem != "__init__")
+
+# `dataclasses` and the `inspect` it imports cost milliseconds in every new
+# interpreter; the value types are NamedTuples and __slots__ classes instead
+SLOW_IMPORTS = ("dataclasses", "inspect")
+PRINT_SLOW = f"print(*(m for m in {SLOW_IMPORTS!r} if m in sys.modules))\n"
 
 # the nine calls of the benchmark's cli workload
 BENCH_CALLS = [
@@ -61,15 +68,18 @@ def fresh_python(code: str, *argv: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
-def cli_loads(argv: list[str]) -> tuple[str, set[str]]:
-    """The first line a CLI call prints and the prodone submodules it loads."""
+def cli_loads(argv: list[str]) -> tuple[str, set[str], set[str]]:
+    """The first line a CLI call prints, the prodone submodules it loads and
+    the modules of SLOW_IMPORTS it loads."""
     lines = fresh_python(
         "import sys\n"
         "from prodone.cli import main\n"
         "main(sys.argv[1:])\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('prodone.')))\n",
+        "print(*sorted(m for m in sys.modules if m.startswith('prodone.')))\n"
+        + PRINT_SLOW,
         *argv)
-    return lines[0], {m.removeprefix("prodone.") for m in lines[-1].split()}
+    return (lines[0], {m.removeprefix("prodone.") for m in lines[-2].split()},
+            set(lines[-1].split()))
 
 
 # -- lazy re-exports ----------------------------------------------------------
@@ -109,26 +119,38 @@ def test_bare_import_loads_no_submodule():
     assert lines == ["[]"]
 
 
+def test_importing_every_module_loads_no_dataclasses():
+    lines = fresh_python(
+        "import sys\n"
+        + "".join(f"import prodone.{m}\n" for m in MODULES)
+        + "print(sorted(m for m in sys.modules if m.startswith('prodone.')))\n"
+        + PRINT_SLOW)
+    assert lines == [repr(sorted(f"prodone.{m}" for m in MODULES)), ""]
+
+
 # -- what a CLI call loads ----------------------------------------------------
 
 
 def test_group_loads_no_computation_module(tmp_path):
-    _, loaded = cli_loads(["group", "D8", "--cache-dir", str(tmp_path)])
+    _, loaded, _ = cli_loads(["group", "D8", "--cache-dir", str(tmp_path)])
     assert loaded == {"cli", "errors", "groups", "report"}
 
 
 def test_abelian_omega_does_not_load_classsemi(tmp_path):
-    _, loaded = cli_loads(["omega", "C6", "--cache-dir", str(tmp_path)])
+    _, loaded, _ = cli_loads(["omega", "C6", "--cache-dir", str(tmp_path)])
     assert "invariants" in loaded
     assert "classsemi" not in loaded
 
 
 @pytest.mark.parametrize("argv", BENCH_CALLS, ids=lambda argv: argv[0])
-def test_cache_hit_loads_no_computation_module(argv, capsys, tmp_path):
+def test_cache_hit_loads_no_computation_module(argv, tmp_path):
+    """The miss and the hit each run in a new interpreter; neither loads
+    SLOW_IMPORTS, and the hit loads no computation module."""
     cache = ["--cache-dir", str(tmp_path)]
-    assert main([*argv, *cache]) == 0
-    capsys.readouterr()
-    first, loaded = cli_loads([*argv, *cache])
+    _, _, slow = cli_loads([*argv, *cache])
+    assert not slow
+    first, loaded, slow = cli_loads([*argv, *cache])
+    assert not slow
     if argv[0] != "atlas":
         assert first.endswith("[cached]")
     # `lengths` canonicalises its --seq literal for the cache key
