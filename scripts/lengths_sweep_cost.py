@@ -18,9 +18,12 @@ BENCH_lengths_sweep.json; other entries are kept).
 - ``traced`` runs ``perfbench/run.py --trace 1 --seed 1`` on ``invariants``
   and ``semigroup`` on each side and keeps the per-layer metrics.
 - ``reach`` times longer lengths-layer calls, one child process per call and
-  side: each call runs ``REPEATS`` times on a fresh ``GroupInvariants``
-  (built outside the timing) and the least time is kept, with the answer
-  (which both sides must give) and the child's peak RSS.
+  side: each call runs ``REPEATS`` times (once for the rows that name their
+  own count) on a fresh ``GroupInvariants`` (built outside the timing) and
+  the least time is kept, with the answer (which both sides must give) and
+  the child's peak RSS.  U_3(D10) passes ``budget=20_000_000`` itself: |Z_3|
+  is 15.1M there, above the default ``UNION_PRODUCT_BUDGET`` of 2M, which
+  stays as it is.  Its row runs once and takes minutes and up to 1.5 GB.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ METRICS = ("setup_s", "batch_s", "peak_rss_mb")
 TRACED = ("invariants", "semigroup")
 REPEATS = 3
 
-# name -> (group spec, code run on `g` and a fresh `inv`, returning the answer)
+# name -> (group spec, code run on `g` and a fresh `inv`, returning the
+# answer[, repeats])
 REACH = {
     "unions of the invariants workload": (
         "C6 C2xC4 D6 D8 Q8",
@@ -51,6 +55,9 @@ REACH = {
     "unions_of_lengths Q8 3": (
         "Q8", "[list((r := unions_of_lengths(g, 3, inv)).union), "
               "r.n_products, r.n_canonical]"),
+    "unions_of_lengths D10 3, budget 20M": (
+        "D10", "[list((r := unions_of_lengths(g, 3, inv, budget=20_000_000))"
+               ".union), r.n_products, r.n_canonical]", 1),
     "unions_of_lengths D8 4": (
         "D8", "[list((r := unions_of_lengths(g, 4, inv)).union), "
               "r.n_products, r.n_canonical]"),
@@ -163,14 +170,16 @@ def traced(sides: dict) -> dict:
 
 def reach(sides: dict) -> dict:
     out = {}
-    for name, (specs, code) in REACH.items():
+    for name, (specs, code, *repeats) in REACH.items():
         out[name] = {}
+        repeats = repeats[0] if repeats else REPEATS
         for label, side in sides.items():
             env = dict(os.environ, PYTHONPATH=os.path.join(side, "src"))
             proc = subprocess.run(
-                [sys.executable, "-c", CHILD, specs, code, str(REPEATS)],
+                [sys.executable, "-c", CHILD, specs, code, str(repeats)],
                 env=env, capture_output=True, text=True, check=True)
-            out[name][label] = json.loads(proc.stdout.strip().splitlines()[-1])
+            out[name][label] = {"repeats": repeats, **json.loads(
+                proc.stdout.strip().splitlines()[-1])}
             print(name, label, out[name][label]["wall_s"],
                   out[name][label]["peak_rss_mb"], flush=True)
         answers = {json.dumps(row["answer"]) for row in out[name].values()}
@@ -198,7 +207,7 @@ def main() -> None:
     elif args.part == "traced":
         entry, key = traced(sides), "traced"
     else:
-        entry, key = {"repeats": REPEATS, "rows": reach(sides)}, "reach"
+        entry, key = {"rows": reach(sides)}, "reach"
     entry["machine"] = machine()
     out = {}
     if os.path.exists(args.out):

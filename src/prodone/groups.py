@@ -153,24 +153,20 @@ class Group:
     # -- bitmask machinery ---------------------------------------------------
 
     def _build_byte_tables(self) -> list[list[list[int]]]:
+        """tables[g][b][v]: the mask of {h*g : h = 8b + i, bit i of v set,
+        h < n}, each row filled from v without its lowest set bit."""
         n = self.order
-        nbytes = (n + 7) // 8
+        mul = self.mul
         tables = []
         for g in range(n):
             per_g = []
-            for bpos in range(nbytes):
+            for base in range(0, n, 8):
+                bits = [1 << mul[h][g] if h < n else 0
+                        for h in range(base, base + 8)]
                 row = [0] * 256
-                base = bpos * 8
-                for bv in range(256):
-                    m = 0
-                    v = bv
-                    while v:
-                        low = v & -v
-                        h = base + low.bit_length() - 1
-                        if h < n:
-                            m |= 1 << self.mul[h][g]
-                        v ^= low
-                    row[bv] = m
+                for v in range(1, 256):
+                    low = v & -v
+                    row[v] = row[v ^ low] | bits[low.bit_length() - 1]
                 per_g.append(row)
             tables.append(per_g)
         self._byte_tables = tables

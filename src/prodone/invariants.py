@@ -2,22 +2,25 @@
 divisibility-localization invariant omega, and Davenport constants of finite
 commutative semigroups.
 
-Unions and distances run on one sweep over the products of atoms,
-`_product_levels`: level j holds Z_j, the distinct products of j atoms, one
-per Aut(G)-orbit, each with its images under the automorphisms as `pack`ed
-exponent vectors, so extending by an atom is a slot-wise sum of images and
-the least image is the canonical key.  U_k is the union of L(B) over level
-k.  Delta reads L(B) = {j : B in Z_j} straight off the levels bounded at
-|B| <= N: B is a product of j atoms exactly when j is in L(B).  For even k
-the maximum rho_k = k*D/2 is certified without enumeration: the upper
-bound is forced by atom lengths (every atom in a 1-free product-one
-sequence has length >= 2) and the lower bound by an explicit
-machine-checked witness built from a maximal atom and its inverse sequence.
+Unions and distances run on one sweep over the products of atoms, kept by
+each `GroupInvariants` session: level j holds Z_j, the distinct products of
+j atoms, one per Aut(G)-orbit, under the least image of the orbit's
+`pack`ed exponent vectors, so extending by an atom is a slot-wise sum of
+images.  The session builds the atom images once, extends each level once,
+and never holds the images of its highest level.  U_k is the union of L(B)
+over level k.  Delta reads L(B) = {j : B in Z_j} straight off the levels
+filtered at |B| <= N, and the sweep extends with that bound past the kept
+ones: B is a product of j atoms exactly when j is in L(B).  For even k the
+maximum rho_k = k*D/2 is certified without enumeration: the upper bound is
+forced by atom lengths (every atom in a 1-free product-one sequence has
+length >= 2) and the lower bound by an explicit machine-checked witness
+built from a maximal atom and its inverse sequence.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import count
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -28,7 +31,6 @@ from .factor import (
     davenport,
     divides_in_B,
     enumerate_atoms,
-    _fixing_automorphisms,
     guard_bits,
     is_atom,
     pack,
@@ -76,8 +78,27 @@ class SemigroupDavenport(NamedTuple):
     witness: tuple[int, ...]
 
 
+# canonical key -> (parent's images, last atom's images, total length): the
+# images of the member are the slot-wise sum of the two, made when extending
+Level = dict[int, tuple[list[int], list[int], int]]
+
+
 class GroupInvariants:
-    """Shared atoms/engine/length memos for one group."""
+    """Shared atoms, engine, length memos and product sweep for one group.
+
+    The product sweep is kept for the session.  Level j holds Z_j, the
+    products of j atoms, keyed by the least `pack`ed image of each
+    Aut(G)-orbit; an entry keeps the images of one member's parent on
+    level j - 1 and of its last atom under one automorphism list, identity
+    first, and its total length.  If sigma maps P to Q, it maps P + A to
+    Q + sigma(A), so extending one member of each orbit by every atom
+    reaches every orbit of the next level, and the images of P + A are the
+    sums of those of P and A.  A level's own images are summed only when it
+    is extended, so the images of the highest level are never held, and
+    each level is extended once per session (`_level`).  The atom images
+    and the levels are rebuilt when `Group.automorphisms()` lists other
+    automorphisms.
+    """
 
     def __init__(self, group: Group, engine: Optional[PiEngine] = None):
         self.group = group
@@ -85,67 +106,110 @@ class GroupInvariants:
         self.atoms = enumerate_atoms(group, engine=self.engine)
         self.context = FactorizationContext(group, self.atoms, self.engine)
         self._davenport: Optional[DavenportReport] = None
+        self._atom_lengths = [a.length for a in self.atoms.atoms]  # ascending
+        self._automorphisms: Optional[tuple[tuple[int, ...], ...]] = None
+        self._atom_images: list[list[int]] = []
+        self._levels: list[Level] = []
+        self._sizes: list[int] = []  # |Z_j| of each kept level
 
     def davenport(self) -> DavenportReport:
         if self._davenport is None:
             self._davenport = davenport(self.group, self.engine, self.atoms)
         return self._davenport
 
+    def _sweep(self) -> list[Level]:
+        """The kept levels, from level 0, for the current automorphisms."""
+        perms = self.group.automorphisms()
+        if perms != self._automorphisms:
+            self._automorphisms = perms
+            self._atom_images = [[pack([e[g] for g in p]) for p in perms]
+                                 for e in (a.exps for a in self.atoms.atoms)]
+            zeros = [0] * len(perms)
+            self._levels = [{0: (zeros, zeros, 0)}]
+            self._sizes = [1]
+        return self._levels
 
-def _product_levels(inv: GroupInvariants, budget: Optional[int] = None,
-                    max_total: Optional[int] = None
-                    ) -> Iterator[tuple[dict[int, tuple[list[int], int]],
-                                        int]]:
-    """The levels j = 1, 2, ... of Z_j, the products of j atoms (of total
-    length <= max_total, when given), up to the first empty level.
+    def _level(self, k: int, budget: Optional[int] = None
+               ) -> tuple[Level, int]:
+        """Level k of the sweep and |Z_k|, extending the highest kept level
+        as far as needed.
 
-    A level maps the least `pack`ed image of each Aut(G)-orbit to the
-    images of the orbit's first-reached member under one automorphism list,
-    identity first, and its total length; it comes with |Z_j|, the sum of
-    the orbit sizes.  If sigma maps P to Q, it maps P + A to Q + sigma(A),
-    so extending one member of each orbit by every atom reaches every orbit
-    of the next level, and the images of P + A are the sums of those of P
-    and A.  A product of j atoms of length <= max_total drops one atom to a
-    product of j - 1 atoms of smaller length, so the bounded levels extend
-    the bounded ones.  Multiplying by a fixed atom is injective, so |Z_j|
-    never shrinks with j, and ``budget`` bounds the running |Z_j| of every
-    level.
-    """
-    group = inv.group
-    perms = _fixing_automorphisms(group, tuple(range(group.order)))
-    atoms = inv.atoms.atoms
-    atom_images = [[pack([e[g] for g in p]) for p in perms]
-                   for e in (a.exps for a in atoms)]
-    lengths = [a.length for a in atoms]  # ascending: atoms go by length
-    # canonical key -> (images, total length)
-    level: dict[int, tuple[list[int], int]] = {0: ([0] * len(perms), 0)}
-    j = 0
-    while level:
-        j += 1
-        nxt: dict[int, tuple[list[int], int]] = {}
-        seen: set[int] = set()
-        size = 0
-        for images, total in level.values():
-            stop = (len(atoms) if max_total is None
-                    else bisect_right(lengths, max_total - total))
-            for a in range(stop):
-                prod = list(map(add, images, atom_images[a]))
-                if prod[0] in seen:
-                    continue
-                seen.add(prod[0])
-                rep = min(prod)
-                if rep in nxt:
-                    continue
-                nxt[rep] = prod, total + lengths[a]
-                size += len(set(prod))
+        Multiplying by a fixed atom is injective, so |Z_j| never shrinks
+        with j, and ``budget`` bounds |Z_j| of every level up to k: of the
+        kept ones first, then the running sum of orbit sizes of each new
+        one.  A level is done before its keys are read, so the raw products
+        of the sweep are freed before the caller's memos grow.
+        """
+        levels = self._sweep()
+        for j, size in enumerate(self._sizes[1:k + 1], 1):
+            if budget is not None and size > budget:
+                raise _budget_error(budget, j)
+        while len(levels) <= k:
+            nxt: Level = {}
+            size = 0
+            for images in _extend(levels[-1], nxt, self._atom_images,
+                                  self._atom_lengths):
+                size += len(set(images))
                 if budget is not None and size > budget:
-                    raise BudgetExceededError(
-                        f"more than {budget} distinct {j}-atom products")
-        # the caller works on a level while the sweep holds only that one
-        level = nxt
-        del seen
-        if level:
-            yield level, size
+                    raise _budget_error(budget, len(levels))
+            levels.append(nxt)
+            self._sizes.append(size)
+        return levels[k], self._sizes[k]
+
+    def _bounded_levels(self, max_total: int) -> Iterator[Level]:
+        """The levels j = 1, 2, ... of the products of total length at most
+        ``max_total``, up to the first empty one: the kept levels filtered,
+        then extensions of the last with that bound."""
+        kept = self._sweep()
+        level = kept[0]
+        for j in count(1):
+            if j < len(kept):
+                level = {key: entry for key, entry in kept[j].items()
+                         if entry[2] <= max_total}
+            else:
+                nxt: Level = {}
+                for _ in _extend(level, nxt, self._atom_images,
+                                 self._atom_lengths, max_total):
+                    pass
+                level = nxt
+            if not level:
+                return
+            yield level
+
+
+def _budget_error(budget: int, j: int) -> BudgetExceededError:
+    return BudgetExceededError(f"more than {budget} distinct {j}-atom products")
+
+
+def _extend(level: Level, nxt: Level, atom_images: list[list[int]],
+            lengths: list[int], max_total: Optional[int] = None
+            ) -> Iterator[list[int]]:
+    """Extend one member of each orbit of ``level`` by every atom (of length
+    at most ``max_total`` minus its total, when given), put the new orbits
+    into ``nxt`` and yield the images of the member of each.
+
+    A raw product is tested against the ones already made before its images
+    are summed: most products of a level are reached more than once.  The
+    atoms go by length, so a bound cuts their list by `bisect`.
+    """
+    firsts = [images[0] for images in atom_images]
+    stop = len(atom_images)
+    seen: set[int] = set()
+    for parent, last, total in level.values():
+        images = list(map(add, parent, last))
+        first = images[0]
+        if max_total is not None:
+            stop = bisect_right(lengths, max_total - total)
+        for a in range(stop):
+            raw = first + firsts[a]
+            if raw in seen:
+                continue
+            seen.add(raw)
+            prod = list(map(add, images, atom_images[a]))
+            key = min(prod)
+            if key not in nxt:
+                nxt[key] = images, atom_images[a], total + lengths[a]
+                yield prod
 
 
 def _check_slots(most: int) -> None:
@@ -161,18 +225,17 @@ def unions_of_lengths(group: Group, k: int,
     """U_k: all lengths co-realizable with a factorization of length k.
 
     U_k is the union of L(B) over the set Z_k of products of k atoms, level
-    k of `_product_levels`.  Both Z_k and L are Aut(G)-invariant, so L is
-    computed on one canonical product per orbit only.  ``n_products`` is
-    still |Z_k| (the sum of the orbit sizes), and ``budget`` bounds |Z_k|,
-    not the canonical count.
+    k of the session's sweep (`GroupInvariants._level`).  Both Z_k and L
+    are Aut(G)-invariant, so L is computed on one canonical product per
+    orbit only.  ``n_products`` is still |Z_k| (the sum of the orbit
+    sizes), and ``budget`` bounds |Z_j| for every j <= k, not the canonical
+    count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     inv = inv or GroupInvariants(group)
     _check_slots(k * max(max(a.exps) for a in inv.atoms.atoms))
-    levels = _product_levels(inv, budget)
-    for _ in range(k):
-        products, n_products = next(levels)
+    products, n_products = inv._level(k, budget)
     length_mask = inv.context.length_mask
     union = 0
     for key in products:
@@ -306,13 +369,15 @@ def delta_set(group: Group, length_bound: int,
     """Distances in sets of lengths over all product-one B with |B| bounded.
 
     j is in L(B) exactly when B is a product of j atoms, so L(B) is
-    {j : B in Z_j}, read off the levels of `_product_levels` bounded at
-    total length N = length_bound.  The bounded levels miss no such B: a
-    product of j atoms of length <= N drops one atom to a product of j - 1
-    atoms of smaller length, so by induction on j every one of them is an
-    extension of level j - 1 and sits on level j.  Z_j and L are invariant
-    under Aut(G), so one key per orbit is enough.  No pi test and no
-    lengths memo are needed.
+    {j : B in Z_j}, read off the levels of the session's sweep bounded at
+    total length N = length_bound.  The levels the session keeps are read
+    filtered to total length <= N, and past them the sweep extends with
+    that bound (`GroupInvariants._bounded_levels`).  The bounded levels miss
+    no such B: a product of j atoms of length <= N drops one atom to a
+    product of j - 1 atoms of smaller length, so by induction on j every
+    one of them is an extension of bounded level j - 1.  Z_j and L are
+    invariant under Aut(G), so one key per orbit is enough.  No pi test and
+    no lengths memo are needed.
 
     The result is exact when the group is small enough to be factorial, or
     when the distance ceiling derived from an exact omega value is reached by
@@ -323,8 +388,7 @@ def delta_set(group: Group, length_bound: int,
         return DeltaReport((), length_bound, True, "factorial monoid")
     _check_slots(length_bound)
     lengths: dict[int, int] = {}  # canonical key -> L as a bitmask
-    for j, (products, _) in enumerate(
-            _product_levels(inv, max_total=length_bound), 1):
+    for j, products in enumerate(inv._bounded_levels(length_bound), 1):
         bit = 1 << j
         for key in products:
             lengths[key] = lengths.get(key, 0) | bit

@@ -219,6 +219,22 @@ def test_mul_mask_matches_elementwise():
         assert d8.mul_mask(mask, h) == want
 
 
+@pytest.mark.parametrize("spec", [
+    "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C2xC2", "D6", "D8", "Q8",
+    "D14", "C2xC2xC2xC2"])
+def test_byte_tables_match_the_per_bit_definition(spec):
+    """Each row entry v of byte b under g is the mask of h*g over the set
+    bits i of v with h = 8b + i < n, built bit by bit here."""
+    group = parse_group(spec)
+    n = group.order
+    want = [[[sum({1 << group.mul[8 * b + i][g]
+                   for i in range(8) if v >> i & 1 and 8 * b + i < n})
+              for v in range(256)]
+             for b in range((n + 7) // 8)]
+            for g in range(n)]
+    assert group._build_byte_tables() == want
+
+
 @pytest.mark.parametrize("spec,count", [
     ("C1", 1), ("C2", 1), ("C3", 2), ("C4", 2), ("C5", 4), ("C6", 2),
     ("C7", 6), ("C8", 4), ("D6", 6), ("D8", 8), ("Q8", 24), ("D10", 20),

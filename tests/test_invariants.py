@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import random
+import sys
+from operator import add
 
 import pytest
 
@@ -17,7 +20,6 @@ from prodone.invariants import (
     SEMIGROUP_FRONTIER_BUDGET,
     GroupInvariants,
     _inverse_pair_factors,
-    _product_levels,
     _verified_witness_size,
     delta_set,
     omega,
@@ -117,20 +119,117 @@ def test_unions_over_the_automorphism_cap_are_unreduced(unreduce):
 def test_product_levels_match_getter_oracle(spec, max_k, unreduce):
     """Each level of the sweep holds the least member of each orbit of Z_k,
     with |Z_k|, as the sweep that rebuilds every orbit from the getter list
-    finds them; and so it does without the orbit reduction."""
+    finds them; the highest level too, whose images the session holds
+    only through its entries, and so it does without the orbit
+    reduction."""
     for switch in (lambda: None, unreduce):
         switch()
         inv = GroupInvariants(parse_group(spec))
         n = inv.group.order
-        for k, (level, size) in enumerate(_product_levels(inv), 1):
+        for k in range(1, max_k + 1):
+            level, size = inv._level(k)
             want, want_size = oracle_atom_products(inv, k)
             assert sorted(unpack(key, n) for key in level) == sorted(want)
+            images = {key: list(map(add, parent, last))
+                      for key, (parent, last, _) in level.items()}
             assert size == want_size == sum(
-                len(set(images)) for images, _ in level.values())
-            assert all(key == min(images)
-                       for key, (images, _) in level.items())
-            if k == max_k:
-                break
+                len(set(member)) for member in images.values())
+            assert all(key == min(member) for key, member in images.items())
+            assert all(total == sum(unpack(key, n))
+                       for key, (_, _, total) in level.items())
+
+
+def _session_calls(group, inv, calls):
+    """Run U_k (an int k) and Delta up to N (a pair ("delta", N)) in order on
+    one session; a budget error is returned as its message."""
+    out = []
+    for call in calls:
+        if isinstance(call, int):
+            out.append(unions_of_lengths(group, call, inv))
+        elif call[0] == "delta":
+            out.append(delta_set(group, call[1], inv))
+        else:
+            try:
+                out.append(unions_of_lengths(group, call[1], inv,
+                                             budget=call[2]))
+            except BudgetExceededError as exc:
+                out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["D6", "D8", "Q8"])
+def test_a_swept_session_matches_fresh_ones(spec):
+    """The same UnionReport and DeltaReport whatever the session swept
+    before: every order of U_1, U_3 and Delta(8), each followed by U_2 and
+    Delta(12), against one fresh session per call.  Budgets are checked
+    against kept levels as a fresh sweep checks them."""
+    group = parse_group(spec)
+    calls = [1, 2, 3, ("delta", 8), ("delta", 12),
+             ("budget", 2, 1009), ("budget", 3, 1010), ("budget", 2, 1010)]
+    fresh = {repr(call): _session_calls(group, GroupInvariants(group),
+                                        [call])[0]
+             for call in calls}
+    for order in itertools.permutations([1, 3, ("delta", 8)]):
+        order = [*order, 2, ("delta", 12), *calls[5:]]
+        got = _session_calls(group, GroupInvariants(group), order)
+        assert got == [fresh[repr(call)] for call in order], order
+
+
+@pytest.mark.parametrize("spec", ["D6", "D8", "Q8"])
+def test_unreduce_between_two_calls_rebuilds_the_sweep(groups, invariants_ctx,
+                                                      unreduce, spec):
+    """The session-scoped fixture is shared: a sweep kept under the full
+    automorphism list must not serve the unreduced call after it."""
+    group, inv = groups[spec], invariants_ctx[spec]
+    reduced = unions_of_lengths(group, 2, inv)
+    delta = delta_set(group, 8, inv)
+    assert reduced.n_canonical < reduced.n_products
+    unreduce()
+    full = unions_of_lengths(group, 2, inv)
+    assert (full.union, full.n_products) == (reduced.union, reduced.n_products)
+    assert full.n_canonical == full.n_products
+    assert delta_set(group, 8, inv) == delta
+
+
+@pytest.mark.parametrize("spec", ["D6", "D8", "Q8"])
+def test_one_sweep_per_session(spec, monkeypatch):
+    """In a session shaped like a benchmark pass (U_1, U_2, U_3, the rho_4
+    certificate, Delta(8)), each unbounded level is extended once, and the
+    images of the products a call makes are dead once it returns."""
+    import prodone.invariants as invariants
+    extend = invariants._extend
+    extended = []   # (keys of the extended level, the bound)
+    made = []       # the images of every product the sweep made
+    def spy(level, nxt, atom_images, lengths, max_total=None):
+        extended.append((tuple(level), max_total))
+        for images in extend(level, nxt, atom_images, lengths, max_total):
+            made.append(images)
+            yield images
+    monkeypatch.setattr(invariants, "_extend", spy)
+
+    def only_made_holds_them():
+        made.append([])   # a list that nothing else holds
+        alone = sys.getrefcount(made[-1])
+        dead = all(sys.getrefcount(made[i]) == alone
+                   for i in range(len(made)))
+        del made[:]
+        return dead
+
+    group = parse_group(spec)
+    inv = GroupInvariants(group)
+    canonical = [1]
+    for k in (1, 2, 3):
+        canonical.append(unions_of_lengths(group, k, inv).n_canonical)
+        assert only_made_holds_them(), k
+    rho_even_certificate(inv, 4)
+    delta_set(group, 8, inv)
+    assert only_made_holds_them()
+    unbounded = [keys for keys, bound in extended if bound is None]
+    assert len(set(unbounded)) == len(unbounded) == 3
+    assert [len(keys) for keys in unbounded] == canonical[:3]
+    # Delta extends with its bound only past the kept levels 0..3
+    assert all(bound == 8 for _, bound in extended[3:])
+    assert set(extended[3][0]) <= set(inv._levels[3])
 
 
 def test_product_slots_past_255_raise(groups, invariants_ctx):
