@@ -27,8 +27,12 @@ sets, ...), and recognition through the table against direct product-one
 tests on every short sequence and on seeded random longer ones.  S is
 product-one iff z^-1 lies in pi(S_nc), z the product of its central terms,
 so each check depends only on the triple (class, z, S_nc), and the
-exhaustive checks run once per distinct triple (``_triples``).  A
-failure raises ``ValidationFailure``.
+exhaustive checks run once per distinct triple (``_triples``).  The random
+sequences are the ones ``randint`` and ``randrange`` draw from the seed,
+drawn as ``getrandbits`` with rejection (``_random_vectors``), and each is
+walked slot by slot through precomputed rows of singleton steps, as
+``class_of`` walks it, so a failure names the sequence that a per-sequence
+sweep names.  A failure raises ``ValidationFailure``.
 """
 
 from __future__ import annotations
@@ -111,19 +115,13 @@ class ClassSemigroup:
         raise ValidationFailure("idempotents have no smallest element")
 
     def units(self) -> tuple[int, ...]:
-        zero = self.zero
-        return tuple(c for c in range(self.n_classes)
-                     if any(self.op[c][d] == zero for d in range(self.n_classes)))
+        return tuple(c for c, row in enumerate(self.op) if self.zero in row)
 
     def is_regular(self, cls: int) -> bool:
-        """Whether the class lies in a subgroup of the semigroup."""
-        for e in self.idempotents():
-            if self.op[cls][e] != cls:
-                continue
-            for y in range(self.n_classes):
-                if self.op[cls][y] == e:
-                    return True
-        return False
+        """Whether the class lies in a subgroup of the semigroup: some
+        idempotent e has cls + e = cls and cls + y = e for some y."""
+        row = self.op[cls]
+        return any(row[e] == cls and e in row for e in self.idempotents())
 
 
 def build(group: Group, engine: Optional[PiEngine] = None,
@@ -425,13 +423,14 @@ def _validate_coset_epimorphism(semi: ClassSemigroup) -> None:
         coset_of_class.append(homes[0])
     if set(coset_of_class) != set(range(len(cosets))):
         raise ValidationFailure("coset map is not surjective")
-    for c1 in range(semi.n_classes):
-        for c2 in range(semi.n_classes):
-            m1 = cosets[coset_of_class[c1]][1]
-            rep2 = cosets[coset_of_class[c2]][0]
-            want = coset_id_of_mask[group.mul_mask(m1, rep2)]
-            if coset_of_class[semi.op[c1][c2]] != want:
-                raise ValidationFailure("coset map is not a homomorphism")
+    # want[i][c2]: the coset of (coset i) * (coset of c2), one mul_mask per
+    # pair of cosets
+    coset_mul = [[coset_id_of_mask[group.mul_mask(m1, rep2)] for rep2, _ in cosets]
+                 for _, m1 in cosets]
+    want = [list(map(row.__getitem__, coset_of_class)) for row in coset_mul]
+    for c1, row in enumerate(semi.op):
+        if list(map(coset_of_class.__getitem__, row)) != want[coset_of_class[c1]]:
+            raise ValidationFailure("coset map is not a homomorphism")
 
 
 def _validate_zero_class(semi: ClassSemigroup) -> None:
@@ -529,6 +528,63 @@ def _check_states(semi: ClassSemigroup, max_len: int, what: str, ok) -> None:
     raise ValidationFailure(f"{what} mismatch")
 
 
+def _random_vectors(seed: int, n: int, lo: int, hi: int, count: int):
+    """The exponent vectors of ``count`` seeded random sequences over n
+    slots: a length ``rng.randint(lo, hi)``, then one ``rng.randrange(n)``
+    per term.  Each is drawn as ``random.Random`` draws it, as
+    ``getrandbits`` of the range's bit length, drawn again while out of
+    range, so every seed gives exactly the vectors of that loop."""
+    bits = random.Random(seed).getrandbits
+    width = hi - lo + 1
+    k_len, k_term = width.bit_length(), n.bit_length()
+    for _ in range(count):
+        r = bits(k_len)
+        while r >= width:
+            r = bits(k_len)
+        exps = [0] * n
+        for _ in range(lo + r):
+            g = bits(k_term)
+            while g >= n:
+                g = bits(k_term)
+            exps[g] += 1
+        yield exps
+
+
+def _check_random(semi: ClassSemigroup, ok, seed: int, lo: int, hi: int) -> None:
+    """Check ok(class, z, S_nc) on ``N_RANDOM`` seeded random sequences of
+    length ``lo``..``hi`` (``_random_vectors``), in order, naming the first
+    that fails.  Each is walked as ``_walk`` walks it, slot by slot, through
+    rows ``rows[g][e][c]``, the class c after e steps ``op[c][singletons[g]]``,
+    built once up to the largest exponent drawn in slot g; z is read from a
+    power table of the central elements."""
+    group = semi.group
+    n, n_cl = group.order, len(semi.op)
+    op, single, mul = semi.op, semi.singletons, group.mul
+    center = sorted(semi.structure.center.members)
+    # all vectors first (as bytes), so that each slot's rows stop at its
+    # largest exponent
+    vectors = list(map(bytes, _random_vectors(seed, n, lo, hi, N_RANDOM)))
+    tops = list(map(max, zip(*vectors)))
+    rows = []  # rows[g][e][c]: the class c after e steps op[c][singletons[g]]
+    for g, top in enumerate(tops):
+        step, row = [r[single[g]] for r in op], range(n_cl)
+        rows.append([row])
+        for _ in range(top):
+            row = tuple(map(step.__getitem__, row))
+            rows[g].append(row)
+    powers = {g: [group.power(g, e) for e in range(tops[g] + 1)] for g in center}
+    for exps in vectors:
+        cls = 0
+        for row, e in zip(rows, exps):
+            cls = row[e][cls]
+        z, nc = 0, bytearray(exps)
+        for g in center:
+            z, nc[g] = mul[z][powers[g][exps[g]]], 0
+        if not ok(cls, z, bytes(nc)):
+            seq = Sequence(group, tuple(exps))
+            raise ValidationFailure(f"recognition mismatch at random {seq.display()}")
+
+
 def _validate_recognition(semi: ClassSemigroup, engine: PiEngine,
                           seed: int) -> None:
     """Compare acceptance through the reported table with direct
@@ -537,7 +593,11 @@ def _validate_recognition(semi: ClassSemigroup, engine: PiEngine,
     pi(S_nc), z the product of its central terms, so the check of S depends
     only on its triple (class, z, S_nc).  The exhaustive part checks each
     triple of ``_triples`` once, which covers all comb(l + n, n) sequences
-    of length <= l: the count reported.
+    of length <= l: the count reported.  The random part (``_check_random``)
+    draws the vectors that ``randint`` and ``randrange`` would draw from the
+    seed, and walks each through the table slot by slot, as ``class_of``
+    does, so no associativity is assumed and a failure names the sequence
+    that a per-sequence sweep names first.
     """
     from .factor import small_davenport
     group = semi.group
@@ -553,16 +613,8 @@ def _validate_recognition(semi: ClassSemigroup, engine: PiEngine,
         return accept[cls] == bool(pi(nc) >> inv[z] & 1)
 
     _check_states(semi, l_exh, "recognition", ok)
-    rng = random.Random(seed)
     l_max = 2 * l_target
-    for _ in range(N_RANDOM):
-        length = rng.randint(l_exh + 1, l_max)
-        exps = [0] * n
-        for _ in range(length):
-            exps[rng.randrange(n)] += 1
-        if not ok(*_walk(semi, exps)):
-            seq = Sequence(group, tuple(exps))
-            raise ValidationFailure(f"recognition mismatch at random {seq.display()}")
+    _check_random(semi, ok, seed, l_exh + 1, l_max)
     semi.provenance.update({
         "recognition_exhaustive_len": l_exh,
         "recognition_exhaustive_count": comb(l_exh + n, n),
@@ -616,7 +668,8 @@ class RegularityReport(NamedTuple):
 
 def regularity_report(semi: ClassSemigroup) -> RegularityReport:
     regular = tuple(c for c in range(semi.n_classes) if semi.is_regular(c))
-    non_regular = tuple(c for c in range(semi.n_classes) if c not in set(regular))
+    regular_set = set(regular)
+    non_regular = tuple(c for c in range(semi.n_classes) if c not in regular_set)
     if len(semi.structure.commutator.members) == 2:
         _check_singleton_pi_orders(semi)
         if non_regular:

@@ -6,7 +6,11 @@ from math import comb
 import pytest
 
 from oracles import oracle_associative, oracle_recognition, oracle_zero_class
+from prodone import classsemi
 from prodone.classsemi import (
+    _quotient_cosets,
+    _random_vectors,
+    _validate_coset_epimorphism,
     _validate_recognition,
     _validate_structure,
     _validate_zero_class,
@@ -490,21 +494,89 @@ def test_memo_cap_bounds_the_keyed_sequences(groups):
         explore(groups["D6"], contexts, engine)
 
 
-def test_recognition_checks_the_reported_table(groups, class_semigroups, engines):
-    """class_of walks op, so one wrong op entry, reached by the sequence b^2,
-    must fail the recognition sweep."""
+def _d6_with_bb_set_to_b(semi):
+    """The D6 table with its entry (b, b) set to b: b^2 is product-one, b
+    is not, so every sequence whose walk takes that step is misread."""
     import copy
-    d6 = groups["D6"]
-    semi = class_semigroups["D6"][0]
-    b = semi.class_of(Sequence.from_literal(d6, "b"))
+    b = semi.class_of(Sequence.from_literal(semi.group, "b"))
     assert semi.accept[semi.op[b][b]] and not semi.accept[b]
     bad = copy.copy(semi)
     bad.op = tuple(tuple(b if (i, j) == (b, b) else cls for j, cls in enumerate(row))
                    for i, row in enumerate(semi.op))
     bad.provenance = dict(semi.provenance)
+    return bad
+
+
+def test_recognition_checks_the_reported_table(groups, class_semigroups, engines):
+    """class_of walks op, so one wrong op entry, reached by the sequence b^2,
+    must fail the recognition sweep."""
+    bad = _d6_with_bb_set_to_b(class_semigroups["D6"][0])
     message = _failure(_validate_recognition, bad, engines["D6"], 0)
     assert message.startswith("recognition mismatch")
-    assert message == _failure(oracle_recognition, bad, PiEngine(d6), 0)
+    assert message == _failure(oracle_recognition, bad, PiEngine(groups["D6"]), 0)
+
+
+@pytest.mark.parametrize("seed,wanted", [(0, "b^2"), (1, "1,b^2,ab^2"),
+                                         (2, "1,b^2,a2b^2")])
+def test_random_recognition_names_the_oracles_sequence(
+        seed, wanted, monkeypatch, groups, class_semigroups):
+    """With the exhaustive part cut to length 1, only the random part can
+    catch the corrupted (b, b) entry, and it must name the random sequence
+    that the per-sequence oracle names first, for every seed."""
+    monkeypatch.setattr(classsemi, "EXHAUSTIVE_BUDGET", 1)
+    bad = _d6_with_bb_set_to_b(class_semigroups["D6"][0])
+    d6 = groups["D6"]
+    message = _failure(_validate_recognition, bad, PiEngine(d6), seed)
+    assert message == f"recognition mismatch at random {wanted}"
+    assert message == _failure(oracle_recognition, bad, PiEngine(d6), seed)
+
+
+def _drawn_as_the_oracle_draws(seed, n, lo, hi, count):
+    """The random vectors as ``oracle_recognition`` draws them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        length = rng.randint(lo, hi)
+        exps = [0] * n
+        for _ in range(length):
+            exps[rng.randrange(n)] += 1
+        out.append(exps)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31])
+@pytest.mark.parametrize("n", [1, 2, 6, 8, 16])
+def test_random_vectors_are_the_randint_randrange_draws(seed, n):
+    """The recognition draws, by ``getrandbits`` of each range's bit length
+    with rejection, give exactly the vectors of ``randint`` and
+    ``randrange``, for range widths that are powers of two (1, 8, 16: at
+    n = 8 or 16 half the term draws are rejected) and that are not."""
+    for lo, hi in ((3, 3), (9, 16), (5, 20), (10, 18), (8, 14), (2, 40)):
+        assert list(_random_vectors(seed, n, lo, hi, 300)) == \
+            _drawn_as_the_oracle_draws(seed, n, lo, hi, 300)
+
+
+def test_coset_validator_catches_an_entry_moved_to_another_coset(class_semigroups):
+    """Any one op entry of D6 replaced by a class of the other coset of the
+    commutator subgroup breaks the coset map; replaced by another class of
+    the same coset, it does not."""
+    import copy
+    semi = class_semigroups["D6"][0]
+    assert _failure(_validate_coset_epimorphism, semi) is None
+    cosets = _quotient_cosets(semi)
+    assert len(cosets) == 2
+    coset = [next(i for i, (_, mask) in enumerate(cosets) if not pm & ~mask)
+             for pm in semi.pi_masks]
+    for i, row in enumerate(semi.op):
+        for j, old in enumerate(row):
+            other = coset.index(1 - coset[old])
+            same = next(c for c, k in enumerate(coset) if k == coset[old] and c != old)
+            for new, verdict in ((other, "coset map is not a homomorphism"),
+                                 (same, None)):
+                bad = copy.copy(semi)
+                bad.op = list(semi.op)
+                bad.op[i] = row[:j] + (new,) + row[j + 1:]
+                assert _failure(_validate_coset_epimorphism, bad) == verdict
 
 
 def test_units_of_abelian_fixture_match_group(groups, engines):
@@ -584,12 +656,14 @@ def test_light_test_needs_generating_singletons(groups, engines):
 @pytest.mark.parametrize("spec,before,central", [
     ("C6", "g", "g2"), ("D8", "a", "a2"), ("Q8", "K", "-E"),
     ("C6", "g4", "g5"), ("D8", "a2b", "a3b")])
-def test_central_slot_corruption_fails_with_the_oracle_messages(spec, before, central):
+def test_central_slot_corruption_fails_with_the_oracle_messages(spec, before, central,
+                                                               monkeypatch):
     """One op entry reached only through one singleton (central, or the
     last slot's), at the step from the slot before it, sends a two-term
     sequence to the zero class.  The checks over merged states, where
     exponents at a central slot merge, must fail with the per-sequence
-    oracles' messages."""
+    oracles' messages, and so must the random part alone, where the central
+    products come from a power table."""
     import copy
     group = parse_group(spec)
     semi = discover_folds(group)
@@ -606,6 +680,11 @@ def test_central_slot_corruption_fails_with_the_oracle_messages(spec, before, ce
     zero = _failure(_validate_zero_class, bad)
     assert zero.startswith("zero class mismatch at ")
     assert zero == _failure(oracle_zero_class, bad, PiEngine(group))
+    monkeypatch.setattr(classsemi, "EXHAUSTIVE_BUDGET", 1)
+    for seed in range(3):
+        random_part = _failure(_validate_recognition, bad, PiEngine(group), seed)
+        assert random_part.startswith("recognition mismatch at random ")
+        assert random_part == _failure(oracle_recognition, bad, PiEngine(group), seed)
 
 
 @pytest.fixture(scope="module")
