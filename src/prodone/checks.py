@@ -8,20 +8,20 @@ up to the bound actually searched.
 
 The two-atom splitting scan runs on the splits of the atom scan,
 `factor.atom_splits` (see `factor` for the atom test, the split-generated
-scan and the orbit reduction): a sequence is a product of two atoms when
-some split (T, B - T) from `sequences.pivot_splits` has two atom parts.
-Whether a split needs three atoms is invariant under Aut(G), so each split
-is tested once per orbit, on the least member the scan found for it, and
-not at all when that member is an atom; every split of the orbit takes
-that verdict.  The scan yields the splits of the canonical atoms in the
-order of a full scan of all multisets, by length and then
-lexicographically, so the first counterexample of the full scan is the
-least of its orbit, and it is the first atom with a bad split met here too;
-the witness is reported from the raw split met first, as the unreduced
-exhaustive scan finds it.  The scan stops at the first length without an
-atom, or past the length bound; the budget counts the distinct splits it
-forms, those of the atoms at the bound included, bar the splits longer than
-|G| >= D(G), which are never atoms.
+scan and the orbit reduction): a packed sequence B is a product of two
+atoms when some part T holding its pivot (`sequences.sub_multisets`) makes
+T and B - T atoms.  Whether a split needs three atoms is invariant under
+Aut(G), so each split is tested once per orbit, on the least member the
+scan carries for it, and not at all when that member is an atom; every
+split of the orbit takes that verdict.  The scan yields the splits of the
+canonical atoms in the order of a full scan of all multisets, by length
+and then lexicographically, so the first counterexample of the full scan
+is the least of its orbit, and it is the first atom with a bad split met
+here too; the witness is reported from the raw split met first, as the
+unreduced exhaustive scan finds it.  The scan stops at the first length
+without an atom, or past the length bound; the budget counts the distinct
+splits it forms, those of the atoms at the bound included, bar the splits
+longer than |G| >= D(G), which are never atoms.
 
 Membership of a sequence S in the quotient group of the product-one monoid
 is decided by a coset test: S belongs to it exactly when every product of S
@@ -41,7 +41,8 @@ from .sequences import (
     PiEngine,
     Sequence,
     iter_multisets_exact,
-    pivot_splits,
+    sub_multisets,
+    unpack,
 )
 
 PROPERTY_P_BUDGET = 2_000_000
@@ -69,14 +70,15 @@ class Verdict(NamedTuple):
         return out
 
 
-def _two_atom_bound_ok(key: bytes, engine: PiEngine) -> bool:
-    """Whether the sequence is an atom or a product of exactly two atoms."""
+def _two_atom_bound_ok(key: int, engine: PiEngine) -> bool:
+    """Whether the packed sequence is an atom or a product of exactly two
+    atoms."""
     if engine.is_atom(key):
         return True
-    has_one = engine.has_one
-    for sub, comp in pivot_splits(key):
-        if (any(comp) and has_one(sub) and has_one(comp)
-                and engine.is_atom(sub) and engine.is_atom(comp)):
+    has_one, is_atom = engine.has_one, engine.is_atom
+    for sub in sub_multisets(key, engine.group.order, True):
+        if (sub != key and has_one(sub) and has_one(key - sub)
+                and is_atom(sub) and is_atom(key - sub)):
             return True
     return False
 
@@ -95,16 +97,17 @@ def property_P(group: Group, engine: Optional[PiEngine] = None,
     engine = engine or PiEngine(group)
     n = group.order
     cap = max_len if max_len is not None else n
-    orbit_ok: dict[tuple[int, ...], bool] = {}  # by least orbit member
-    for exps, g, h1, least, atom in atom_splits(group, tuple(range(n)),
-                                                engine, budget, cap):
+    orbit_ok: dict[int, bool] = {}  # by least orbit member
+    for atom_key, g, h1, least, atom, _ in atom_splits(
+            group, tuple(range(n)), engine, budget, cap):
         if atom:
             continue
         ok = orbit_ok.get(least)
         if ok is None:
-            ok = orbit_ok[least] = _two_atom_bound_ok(bytes(least), engine)
+            ok = orbit_ok[least] = _two_atom_bound_ok(least, engine)
         if not ok:
             h2 = group.mul[group.inv[h1]][g]
+            exps = tuple(unpack(atom_key, n))
             split = list(exps)
             split[g] -= 1
             split[h1] += 1
@@ -175,7 +178,7 @@ def _quotient_non_product_one(group: Group, engine: PiEngine,
     outside = ~quotient_group_member_mask(group) | 1
     for length in range(1, length_bound + 1):
         for exps in iter_multisets_exact(group.order, length):
-            if not engine.pi_mask(bytes(exps)) & outside:
+            if not engine.pi_mask(exps) & outside:
                 yield Sequence(group, exps)
 
 

@@ -40,12 +40,18 @@ from __future__ import annotations
 import random
 from heapq import heappop, heappush
 from math import comb, prod
-from operator import add
 from typing import NamedTuple, Optional
 
 from .errors import BudgetExceededError, ValidationFailure
 from .groups import Group, GroupStructure, analyze, light_failure
-from .sequences import PiEngine, Sequence, iter_multisets
+from .sequences import (
+    PiEngine,
+    Sequence,
+    iter_multisets,
+    pack,
+    slot_units,
+    unpack,
+)
 
 CLASS_CAP = 500
 EXHAUSTIVE_BUDGET = 25_000
@@ -117,12 +123,6 @@ class ClassSemigroup:
     def units(self) -> tuple[int, ...]:
         return tuple(c for c, row in enumerate(self.op) if self.zero in row)
 
-    def is_regular(self, cls: int) -> bool:
-        """Whether the class lies in a subgroup of the semigroup: some
-        idempotent e has cls + e = cls and cls + y = e for some y."""
-        row = self.op[cls]
-        return any(row[e] == cls and e in row for e in self.idempotents())
-
 
 def build(group: Group, engine: Optional[PiEngine] = None,
           seed: int = 0) -> ClassSemigroup:
@@ -155,9 +155,9 @@ def discover_folds(group: Group,
     last.  The key columns are kept, so a round keys only new vectors and
     new contexts.  (The folds are the identifications S ~ S'.)"""
     engine = engine or PiEngine(group)
-    contexts, keys, counts = [bytes(group.order)], {}, []
+    contexts, keys, counts = [0], {}, []
     while True:
-        splitters: set[bytes] = set()
+        splitters: set[int] = set()
         try:
             semi = explore(group, contexts, engine, keys, splitters)
         except BudgetExceededError as exc:
@@ -171,24 +171,19 @@ def discover_folds(group: Group,
     return semi
 
 
-def _plus(v: bytes, g: int) -> bytes:
-    """The exponent vector v with one more term g."""
-    f = bytearray(v)
-    f[g] += 1
-    return bytes(f)
-
-
-def explore(group: Group, contexts: list[bytes],
+def explore(group: Group, contexts: list[int],
             engine: Optional[PiEngine] = None, keys: Optional[dict] = None,
             splitters: Optional[set] = None) -> ClassSemigroup:
-    """The table of the classes that ``contexts`` (exponent vectors) tell
-    apart, unvalidated.
+    """The table of the classes that ``contexts`` (packed exponent vectors)
+    tell apart, unvalidated.
 
     The first member the search keys in each class is its least one:
     lexicographic order is translation-invariant, so every vector one term
     below a least member is a least member too, and the heap pops vectors
     in increasing order.  ``keys`` caches the product sets of each vector
-    over a prefix of ``contexts``.  If ``splitters`` is given, the
+    over a prefix of ``contexts``; a vector and a context add as packed
+    ints, and `PiEngine.pi_mask` rejects a sum with a slot past
+    `MAX_MULTIPLICITY`.  If ``splitters`` is given, the
     consistency check adds to it: for a keyed e whose class has least member
     r != e, and for central translates z*e, z'*e' with one key, successors
     by each non-central g must share a key; where they differ at a context
@@ -202,8 +197,10 @@ def explore(group: Group, contexts: list[bytes],
     center = structure.center.members
     nc = [g for g in range(n) if g not in center]
     pi_mask, mul_mask = engine.pi_mask, group.mul_mask
+    units = slot_units(n)
     keys = {} if keys is None else keys
-    width, longest = len(contexts), max(map(sum, contexts))
+    width = len(contexts)
+    longest = max(sum(unpack(t, n)) for t in contexts)
     max_keyed = engine.memo_cap // width
 
     def over_budget(what: str, limit: str) -> BudgetExceededError:
@@ -211,9 +208,9 @@ def explore(group: Group, contexts: list[bytes],
             f"class semigroup of {group.spec}: {what} at context length "
             f"{longest} exceed {limit}")
 
-    seen: dict[bytes, tuple[int, ...]] = {}  # the vectors keyed this round
+    seen: dict[int, tuple[int, ...]] = {}  # the vectors keyed this round
 
-    def key_at(z: int, e: bytes) -> tuple[int, ...]:
+    def key_at(z: int, e: int) -> tuple[int, ...]:
         """The key of z*e: a central term z multiplies every product set."""
         key = seen.get(e)
         if key is None:
@@ -222,14 +219,14 @@ def explore(group: Group, contexts: list[bytes],
                                   "contexts", f"the memo cap {engine.memo_cap}")
             key = keys.get(e, ())
             if len(key) < width:
-                key = keys[e] = key + tuple(pi_mask(bytes(map(add, e, t)))
+                key = keys[e] = key + tuple(pi_mask(e + t)
                                             for t in contexts[len(key):])
             seen[e] = key
         return tuple(mul_mask(m, z) for m in key) if z else key
 
     # ordered search over non-central exponent vectors (central slots stay 0)
-    least: dict[tuple[int, ...], bytes] = {}
-    heap = [bytes(n)]
+    least: dict[tuple[int, ...], int] = {}
+    heap = [0]
     while heap:
         e = heappop(heap)
         if e in seen:
@@ -241,14 +238,14 @@ def explore(group: Group, contexts: list[bytes],
         if len(least) > CLASS_CAP:
             raise over_budget(f"{len(least)} classes", f"the cap {CLASS_CAP}")
         for g in nc:
-            heappush(heap, _plus(e, g))
+            heappush(heap, e + units[g])
 
-    def split(z1: int, e1: bytes, z2: int, e2: bytes) -> None:
+    def split(z1: int, e1: int, z2: int, e2: int) -> None:
         for g in nc:
-            k1, k2 = key_at(z1, _plus(e1, g)), key_at(z2, _plus(e2, g))
+            k1, k2 = key_at(z1, e1 + units[g]), key_at(z2, e2 + units[g])
             if k1 != k2:
                 t = next(t for t, (m1, m2) in enumerate(zip(k1, k2)) if m1 != m2)
-                splitters.add(_plus(contexts[t], g))
+                splitters.add(contexts[t] + units[g])
 
     if splitters is not None:
         for e, key in list(seen.items()):
@@ -257,7 +254,7 @@ def explore(group: Group, contexts: list[bytes],
 
     # the classes z*D, numbered by their first (central product, vector)
     index: dict[tuple[int, ...], int] = {}
-    members: list[tuple[int, bytes]] = []
+    members: list[tuple[int, int]] = []
     for z in sorted(center):
         for e in least.values():
             first = index.setdefault(key_at(z, e), len(members))
@@ -268,14 +265,15 @@ def explore(group: Group, contexts: list[bytes],
     if len(members) > CLASS_CAP:
         raise over_budget(f"{len(members)} classes", f"the cap {CLASS_CAP}")
 
-    def successor(z: int, e: bytes, g: int) -> int:
+    def successor(z: int, e: int, g: int) -> int:
         if g in center:
             return index[key_at(group.mul[z][g], e)]
-        return index[key_at(z, _plus(e, g))]
+        return index[key_at(z, e + units[g])]
 
     step = [[successor(z, e, g) for z, e in members] for g in range(n)]
-    representatives = tuple(Sequence(group, tuple(_plus(e, z) if z else e))
-                            for z, e in members)
+    packed = [e + units[z] if z else e for z, e in members]
+    representatives = tuple(Sequence(group, tuple(unpack(r, n)))
+                            for r in packed)
 
     def walk(c: int, rep: Sequence) -> int:
         """op[c][d]: c walked along the terms of d's representative."""
@@ -286,7 +284,7 @@ def explore(group: Group, contexts: list[bytes],
 
     op = tuple(tuple(walk(c, rep) for rep in representatives)
                for c in range(len(members)))
-    pi_masks = tuple(pi_mask(rep.exps) for rep in representatives)
+    pi_masks = tuple(map(pi_mask, packed))
     return ClassSemigroup(group, structure, tuple(step[g][0] for g in range(n)),
                           op, tuple(bool(m & 1) for m in pi_masks),
                           pi_masks, representatives,
@@ -438,7 +436,7 @@ def _validate_zero_class(semi: ClassSemigroup) -> None:
     is z = 1; checked on every sequence up to ``ZERO_CLASS_CHECK_LEN``."""
     zero = semi.zero
     _check_states(semi, ZERO_CLASS_CHECK_LEN, "zero class",
-                  lambda cls, z, nc: (cls == zero) == (not z and not any(nc)))
+                  lambda cls, z, nc: (cls == zero) == (not z and not nc))
 
 
 def _validate_commutator_two(semi: ClassSemigroup) -> None:
@@ -461,9 +459,10 @@ def _validate_commutator_two(semi: ClassSemigroup) -> None:
                     "odd power sequence does not match its product singleton")
 
 
-def _walk(semi: ClassSemigroup, exps) -> tuple[int, int, bytes]:
+def _walk(semi: ClassSemigroup, exps) -> tuple[int, int, int]:
     """(class, z, S_nc) of an exponent vector: its walk through ``op``, the
-    product z of its central terms, and the vector with those slots zeroed."""
+    product z of its central terms, and the vector with those slots zeroed,
+    packed."""
     op, single, mul = semi.op, semi.singletons, semi.group.mul
     center = semi.structure.center.members
     cls = z = 0
@@ -473,7 +472,7 @@ def _walk(semi: ClassSemigroup, exps) -> tuple[int, int, bytes]:
             cls = op[cls][single[g]]
         if g in center:
             z, nc[g] = mul[z][semi.group.power(g, e)], 0
-    return cls, z, bytes(nc)
+    return cls, z, pack(nc)
 
 
 def _triples(semi: ClassSemigroup, max_len: int):
@@ -485,18 +484,20 @@ def _triples(semi: ClassSemigroup, max_len: int):
     triples are exactly the sequences' triples, for any table.  At a central
     slot, exponents that reach one (class, z) merge, and an exponent that
     reaches a state held at no greater length ends its loop.  One slot's
-    states are held, each packed in an int; the last slot's are yielded.
+    states are held, each packed in an int around the packed S_nc prefix;
+    the last slot's are yielded.
     """
     group = semi.group
     n, n_cl = group.order, len(semi.op)
     op, single, mul = semi.op, semi.singletons, group.mul
     center = semi.structure.center.members
+    units = slot_units(n)
     base = n * n_cl
     states = {semi.zero: 0}  # S_nc * base + z * n_cl + class -> least length
     for g in range(n):
         # a central g steps z, any other the S_nc prefix
         s, zg, unit = ((single[g], g, 0) if g in center
-                       else (single[g], 0, 1 << 8 * (n - 1 - g)))
+                       else (single[g], 0, units[g]))
         nxt: dict[int, int] = {}
         while states:  # popping frees each state as its successors are made
             state, used = states.popitem()
@@ -506,7 +507,7 @@ def _triples(semi: ClassSemigroup, max_len: int):
                 if k > used:
                     cls, z, nc = op[cls][s], mul[z][zg], nc + unit
                 if g == n - 1:
-                    yield cls, z, nc.to_bytes(n, "big")
+                    yield cls, z, nc
                     continue
                 state = nc * base + z * n_cl + cls
                 if nxt.get(state, k + 1) <= k:
@@ -573,14 +574,18 @@ def _check_random(semi: ClassSemigroup, ok, seed: int, lo: int, hi: int) -> None
             row = tuple(map(step.__getitem__, row))
             rows[g].append(row)
     powers = {g: [group.power(g, e) for e in range(tops[g] + 1)] for g in center}
+    units = slot_units(n)
+    slots_nc = [(g, units[g]) for g in range(n) if g not in center]
     for exps in vectors:
         cls = 0
         for row, e in zip(rows, exps):
             cls = row[e][cls]
-        z, nc = 0, bytearray(exps)
+        z = nc = 0
         for g in center:
-            z, nc[g] = mul[z][powers[g][exps[g]]], 0
-        if not ok(cls, z, bytes(nc)):
+            z = mul[z][powers[g][exps[g]]]
+        for g, unit in slots_nc:
+            nc += exps[g] * unit
+        if not ok(cls, z, nc):
             seq = Sequence(group, tuple(exps))
             raise ValidationFailure(f"recognition mismatch at random {seq.display()}")
 
@@ -609,7 +614,7 @@ def _validate_recognition(semi: ClassSemigroup, engine: PiEngine,
     while l_exh > 1 and comb(l_exh + n, n) > EXHAUSTIVE_BUDGET:
         l_exh -= 1
 
-    def ok(cls: int, z: int, nc: bytes) -> bool:
+    def ok(cls: int, z: int, nc: int) -> bool:
         return accept[cls] == bool(pi(nc) >> inv[z] & 1)
 
     _check_states(semi, l_exh, "recognition", ok)
@@ -667,7 +672,13 @@ class RegularityReport(NamedTuple):
 
 
 def regularity_report(semi: ClassSemigroup) -> RegularityReport:
-    regular = tuple(c for c in range(semi.n_classes) if semi.is_regular(c))
+    """A class c is regular when it lies in a subgroup of the semigroup:
+    some idempotent e has c + e = c and c + y = e for some y.  The
+    idempotents are found once, so the report takes one row scan per
+    class and idempotent."""
+    idems = semi.idempotents()
+    regular = tuple(c for c, row in enumerate(semi.op)
+                    if any(row[e] == c and e in row for e in idems))
     regular_set = set(regular)
     non_regular = tuple(c for c in range(semi.n_classes) if c not in regular_set)
     if len(semi.structure.commutator.members) == 2:

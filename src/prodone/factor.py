@@ -2,9 +2,9 @@
 
 An atom is a non-empty product-one sequence that does not split into two
 non-empty product-one sub-multisets.  The atom test is `PiEngine.is_atom`,
-memoised per engine.  It and every other split test here go through
-`sequences.pivot_splits`, which yields only the splits (T, B - T) whose part
-T holds the pivot of B (its lowest term).  That loses nothing: every
+memoised per engine.  It and every other split test here walk the packed
+parts T of the splits (T, B - T) that hold the pivot of B (its lowest
+term), `sequences.sub_multisets(B, n, True)`.  That loses nothing: every
 unordered split of B has a part holding the pivot.
 
 Atoms grow from atoms.  Let S = s_1...s_l (l >= 2) be an atom over a group
@@ -23,20 +23,22 @@ are kept when their support lies in the set.
 The scan is orbit-reduced: the automorphisms of G that fix the support set
 fix H and map atoms and splits to atoms and splits, so each level keeps the
 least (lexicographically) member of each orbit, and the splits of those reach
-every orbit of the next level.  The least member comes from `least_image`,
-which walks those automorphisms as a prefix trie (`orbit_trie`) and keeps,
-position run by position run, only the branches that reach the running
-minimum.  The budget counts the distinct splits formed.  The loop yields
-every distinct split it forms, with its least orbit member and that member's
-atom verdict: `canonical_atoms` keeps the atoms, which the enumeration
-expands to their whole orbits, and `checks.property_P` tests the splits
-themselves, one per orbit, since whether a split needs three atoms is
-invariant under Aut(G).
+every orbit of the next level.  Each atom of a level carries its orbit as
+packed images, one per automorphism, and the index of itself among them.
+If sigma maps R to A, it maps the split R - t' + h' + h'^{-1}t' to the
+split of A at (sigma t', sigma h'), so a split's images are its atom's
+images plus one fixed packed difference per automorphism, and its least
+member is their minimum.  The budget counts the distinct splits formed.
+The loop yields every distinct split it forms, with its least orbit member,
+that member's atom verdict and the split's images: `canonical_atoms` keeps
+the atoms with their orbits, which the enumeration expands, and
+`checks.property_P` tests the splits themselves, one per orbit, since
+whether a split needs three atoms is invariant under Aut(G).
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import BudgetExceededError, SequenceError, ValidationFailure
@@ -44,8 +46,11 @@ from .groups import Group, closure_of, mask_elements
 from .sequences import (
     PiEngine,
     Sequence,
+    pack,
     pivot,
-    pivot_splits,
+    slot_units,
+    sub_multisets,
+    unpack,
 )
 
 ATOM_ENUM_BUDGET = 5_000_000  # distinct splits across all lengths
@@ -53,20 +58,25 @@ ATOM_ENUM_BUDGET = 5_000_000  # distinct splits across all lengths
 
 class AtomSet:
     """The atoms over ``support`` and their greatest length; immutable by
-    convention."""
+    convention.  ``orbits[i]`` numbers the orbit of ``atoms[i]`` under the
+    automorphisms of the group that fix the support set, in the order of
+    the orbits' least members."""
 
-    __slots__ = ("group", "support", "atoms", "max_length")
+    __slots__ = ("group", "support", "atoms", "max_length", "orbits")
 
     def __init__(self, group: Group, support: tuple[int, ...],
-                 atoms: tuple[Sequence, ...], max_length: int):
+                 atoms: tuple[Sequence, ...], max_length: int,
+                 orbits: tuple[int, ...]):
         self.group = group
         self.support = support
         self.atoms = atoms
         self.max_length = max_length
+        self.orbits = orbits
 
     def __repr__(self) -> str:
         return (f"AtomSet(group={self.group!r}, support={self.support!r}, "
-                f"atoms={self.atoms!r}, max_length={self.max_length!r})")
+                f"atoms={self.atoms!r}, max_length={self.max_length!r}, "
+                f"orbits={self.orbits!r})")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, AtomSet) and self.support == other.support
@@ -103,81 +113,16 @@ class LengthSet(NamedTuple):
 def is_atom(seq: Sequence, engine: Optional[PiEngine] = None) -> bool:
     """Product-one, non-empty, and no proper two-sided product-one split."""
     engine = engine or PiEngine(seq.group)
-    return seq.length > 0 and engine.is_atom(bytes(seq.exps))
-
-
-def orbit_getters(group: Group, sup: tuple[int, ...]) -> list[itemgetter]:
-    """One getter per automorphism other than the identity that fixes the
-    support set; applied to an exponent vector over G, it returns the tuple
-    of an image multiset."""
-    return [itemgetter(*p) for p in _fixing_automorphisms(group, sup)
-            if p != tuple(range(group.order))]
+    return seq.length > 0 and engine.is_atom(pack(seq.exps))
 
 
 def _fixing_automorphisms(group: Group,
                           sup: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The automorphisms of G that map the support set onto itself,
+    sorted, so the identity comes first."""
     inside = set(sup)
     return sorted({aut for aut in group.automorphisms()
                    if all(aut[g] in inside for g in sup)})
-
-
-def orbit_trie(group: Group, sup: tuple[int, ...]) -> tuple:
-    """The automorphisms of G that fix the support set, as a prefix trie
-    over the positions of H = <sup> other than the identity (which every
-    automorphism fixes), for `least_image`.
-
-    A node is (run getter, children) and a leaf is (None, image getter).
-    The nodes of one depth read the same run of positions: a run ends where
-    some node branches, so a chain of single children is one getter.  Under
-    a node, every automorphism reads the same terms of a key on its run.  A
-    leaf holds the getter of the whole image of one of its automorphisms
-    (they agree on H, and on the zero terms outside it)."""
-    perms = _fixing_automorphisms(group, sup)
-    positions = [g for g in sorted(closure_of(group, sup)) if g]
-    if len(perms) == 1 or not positions:
-        return ((None, tuple),)
-    cuts = [0]
-    seen = len({p[positions[0]] for p in perms})
-    for depth in range(1, len(positions)):
-        prefixes = {tuple(p[q] for q in positions[:depth + 1]) for p in perms}
-        if len(prefixes) > seen:
-            cuts.append(depth)
-            seen = len(prefixes)
-    cuts.append(len(positions))
-
-    def nodes(members: list, level: int) -> tuple:
-        run = positions[cuts[level]:cuts[level + 1]]
-        groups: dict[tuple[int, ...], list] = {}
-        for p in members:
-            groups.setdefault(tuple(p[q] for q in run), []).append(p)
-        if level + 2 == len(cuts):
-            return tuple((None, itemgetter(*grp[0])) for grp in groups.values())
-        return tuple((itemgetter(*reads), nodes(grp, level + 1))
-                     for reads, grp in groups.items())
-
-    return nodes(perms, 0)
-
-
-def least_image(key: bytes, trie: tuple) -> tuple[int, ...]:
-    """The least (lexicographically) member of the orbit of an exponent
-    vector over H under the trie of `orbit_trie`: depth by depth, only the
-    branches whose run reads the least terms are kept, and the least image
-    of the leaves left is the answer."""
-    nodes = trie
-    while nodes[0][0] is not None:
-        if len(nodes) == 1:
-            nodes = nodes[0][1]
-            continue
-        reads = [run(key) for run, _ in nodes]
-        low = min(reads)
-        if reads.count(low) == 1:
-            nodes = nodes[reads.index(low)][1]
-        else:
-            nodes = [child for (_, children), got in zip(nodes, reads)
-                     if got == low for child in children]
-    if len(nodes) == 1:
-        return nodes[0][1](key)
-    return min([image(key) for _, image in nodes])
 
 
 def _support_indices(group: Group, support) -> tuple[int, ...]:
@@ -187,29 +132,27 @@ def _support_indices(group: Group, support) -> tuple[int, ...]:
 
 
 def _free_frontier(group: Group, support: tuple[int, ...],
-                   engine: PiEngine) -> list[list[tuple[bytes, int]]]:
+                   engine: PiEngine) -> list[list[tuple[int, int]]]:
     """Levels of product-one-free multisets over the support.
 
-    Each entry is (exponent vector, union of pi over all sub-multisets).
-    Freeness is inherited by sub-multisets, so extending only free multisets
-    by elements >= their largest support index enumerates each exactly once.
+    Each entry is (packed exponent vector, union of pi over all
+    sub-multisets).  Freeness is inherited by sub-multisets, so extending
+    only free multisets by elements >= their largest support index
+    enumerates each exactly once.
     """
-    n = group.order
-    empty = bytes(n)
-    levels: list[list[tuple[bytes, int]]] = [[(empty, 1)]]
+    units = slot_units(group.order)
+    levels: list[list[tuple[int, int]]] = [[(0, 1)]]
     # (exps, reach-mask, max index used)
-    frontier: list[tuple[bytes, int, int]] = [(empty, 1, 0)]
+    frontier: list[tuple[int, int, int]] = [(0, 1, 0)]
     while frontier:
-        nxt: list[tuple[bytes, int, int]] = []
+        nxt: list[tuple[int, int, int]] = []
         for exps, reach, start in frontier:
             for g in support:
                 if g < start:
                     continue
                 if reach >> group.inv[g] & 1:
                     continue  # some sub-multiset extends to product-one
-                ext = bytearray(exps)
-                ext[g] += 1
-                key = bytes(ext)
+                key = exps + units[g]
                 nxt.append((key, engine.subsequence_mask(key) | 1, g))
         if not nxt:
             break
@@ -222,71 +165,87 @@ def enumerate_atoms(group: Group, support: Optional[Iterable[int]] = None,
                     engine: Optional[PiEngine] = None,
                     budget: int = ATOM_ENUM_BUDGET) -> AtomSet:
     """All atoms over the support set (default: the whole group), by length,
-    then lexicographically."""
+    then lexicographically, with the number of each one's orbit."""
     engine = engine or PiEngine(group)
+    n = group.order
     sup = _support_indices(group, support)
-    getters = orbit_getters(group, sup)
-    atoms = [Sequence(group, image)
-             for exps in canonical_atoms(group, sup, engine, budget,
-                                         group.order)
-             for image in {exps, *(get(exps) for get in getters)}]
-    atoms.sort(key=lambda s: (s.length, s.exps))
-    max_len = max((a.length for a in atoms), default=0)
-    return AtomSet(group, sup, tuple(atoms), max_len)
+    rows = sorted((length, x, i) for i, (length, _, orbit) in enumerate(
+        canonical_atoms(group, sup, engine, budget, n)) for x in orbit)
+    atoms = tuple(Sequence(group, tuple(unpack(x, n))) for _, x, _ in rows)
+    return AtomSet(group, sup, atoms, rows[-1][0] if rows else 0,
+                   tuple(i for _, _, i in rows))
 
 
 def canonical_atoms(group: Group, sup: tuple[int, ...], engine: PiEngine,
-                    budget: int, max_len: int) -> list[tuple[int, ...]]:
+                    budget: int, max_len: int
+                    ) -> list[tuple[int, int, set[int]]]:
     """The atoms over the support of length <= max_len that are the least of
-    their orbit under the automorphisms fixing the support set, as exponent
-    tuples over G, by length, then lexicographically: the identity and the
-    least members that `atom_splits` finds to be atoms."""
+    their orbit under the automorphisms fixing the support set, as
+    (length, packed atom, packed orbit), by length, then lexicographically:
+    the identity and the least members that `atom_splits` finds to be
+    atoms."""
     n = group.order
-    found = {(1,) + (0,) * (n - 1)}  # the identity, the one atom of length 1
-    for _, _, _, least, atom in atom_splits(group, sup, engine, budget,
-                                            max_len - 1):
+    one = slot_units(n)[0]
+    found = {one: [one]}  # the identity, the one atom of length 1
+    for _, _, _, least, atom, images in atom_splits(group, sup, engine, budget,
+                                                    max_len - 1):
         if atom:
-            found.add(least)
-    outside = [g for g in range(n) if g not in sup]
-    return sorted((a for a in found if not any(a[g] for g in outside)),
-                  key=lambda a: (sum(a), a))
+            found[least] = images
+    outside = pack([g not in sup for g in range(n)]) * 255
+    return sorted((sum(unpack(a, n)), a, set(images))
+                  for a, images in found.items() if not a & outside)
 
 
 def atom_splits(group: Group, sup: tuple[int, ...], engine: PiEngine,
                 budget: int, max_len: int
-                ) -> Iterator[tuple[tuple[int, ...], int, int,
-                                    tuple[int, ...], bool]]:
+                ) -> Iterator[tuple[int, int, int, int, bool, list[int]]]:
     """The level loop of the atom scan: each distinct split
     A - t + h + h^{-1}t of each canonical atom A of length l <= max_len over
     H = <sup>, as (A, t, h, least member of the split's orbit, whether that
-    member is an atom).  Level 1 is the identity; level l + 1 holds the
-    least members that are atoms, in order.  The atoms go by length, then
+    member is an atom, the split's images), A, the member and the images
+    packed.  Level 1 is the identity; level l + 1 holds the least members
+    that are atoms, in order.  The atoms go by length, then
     lexicographically, and the splits of one atom by t, then h; a split met
     before in the level is not yielded again.  The scan stops after the
     first level without an atom, or at l = |H| >= D(H), whose splits are
     yielded as non-atoms without a test.  Every other distinct split counts
-    against the budget, the ones least of no orbit included."""
+    against the budget, the ones least of no orbit included.
+
+    The images are taken under the automorphisms fixing the support set,
+    identity first.  An atom A of a level carries images p_m(R) of some R
+    and the index k with A = p_k(R).  The split of A at (t, h) is p_k of
+    the split of R at (t', h') = (p_k^-1 t, p_k^-1 h), so its images are
+    A's images plus delta[t'][h'], the packed p_m(h' + h'^-1 t' - t') for
+    each m, and it sits at index k among them."""
     n = group.order
     mul, inv = group.mul, group.inv
-    trie = orbit_trie(group, sup)
+    perms = _fixing_automorphisms(group, sup)
+    inverses = [sorted(range(n), key=p.__getitem__) for p in perms]
     span = sorted(closure_of(group, sup))
+    units = slot_units(n)
+    # step[t][h]: the packed change h + h^-1 t - t; delta[t][h] lists it
+    # under each automorphism, sharing the n^2 ints of step
+    step = [[units[h] + units[mul[inv[h]][t]] - units[t] for h in range(n)]
+            for t in range(n)]
+    delta = [[[step[p[t]][p[h]] for p in perms] for h in range(n)]
+             for t in range(n)]
     top = len(span)
-    level = [(1,) + (0,) * (n - 1)]
+    level = [(units[0], [units[0]] * len(perms), 0)]
     candidates = 0
     for length in range(1, min(max_len, top) + 1):
         tested = length < top  # a longer split exceeds |H| >= D(H)
-        seen: set[bytes] = set()
-        found: dict[tuple[int, ...], bool] = {}
-        for atom in level:
-            for t, e in enumerate(atom):
+        seen: set[int] = set()
+        found: dict[int, bool] = {}
+        kept: dict[int, list[int]] = {}  # the images of the atoms found
+        while level:  # popping frees each atom's images once it is split
+            atom, images, k = level.pop()
+            back = inverses[k]
+            for t, e in enumerate(unpack(atom, n)):
                 if not e:
                     continue
+                row, moved = step[t], delta[back[t]]
                 for h in span:
-                    split = bytearray(atom)
-                    split[t] -= 1
-                    split[h] += 1
-                    split[mul[inv[h]][t]] += 1
-                    key = bytes(split)
+                    key = atom + row[h]
                     if key in seen:
                         continue
                     seen.add(key)
@@ -296,13 +255,16 @@ def atom_splits(group: Group, sup: tuple[int, ...], engine: PiEngine,
                             raise BudgetExceededError(
                                 f"atom scan exceeded {budget} candidates "
                                 f"at length {length + 1}")
-                    least = least_image(key, trie)
+                    split = list(map(add, images, moved[back[h]]))
+                    least = min(split)
                     ok = found.get(least)
                     if ok is None:
-                        ok = found[least] = (tested
-                                             and engine.is_atom(bytes(least)))
-                    yield atom, t, h, least, ok
-        level = sorted(k for k, ok in found.items() if ok)
+                        ok = found[least] = tested and engine.is_atom(least)
+                        if ok:
+                            kept[least] = split
+                    yield atom, t, h, least, ok, split
+        level = [(least, kept[least], kept[least].index(least))
+                 for least in sorted(kept, reverse=True)]
         if not level:
             return
 
@@ -331,7 +293,7 @@ def davenport(group: Group, engine: Optional[PiEngine] = None,
     levels = _free_frontier(group, everything, engine)
     small = len(levels) - 1
     free_exps, free_reach = levels[small][0]
-    free_witness = Sequence(group, tuple(free_exps))
+    free_witness = Sequence(group, tuple(unpack(free_exps, group.order)))
     everything_but_one = ((1 << group.order) - 1) & ~1
     if (free_reach & ~1) != everything_but_one:
         raise ValidationFailure(
@@ -359,21 +321,6 @@ def divides_in_B(u: Sequence, w: Sequence,
         return False
     rest = w.remove(u)
     return rest.length == 0 or engine.is_product_one(rest)
-
-
-def pack(exps) -> int:
-    """An exponent vector with slots 0..255 as one int of 16 bits per slot,
-    slot 0 most significant, so int order is the lexicographic order of the
-    vectors and slot-wise sums and differences are int `+` and `-`.  Raises
-    the ValueError of `bytes` on a slot outside 0..255."""
-    buf = bytearray(2 * len(exps))
-    buf[1::2] = bytes(exps)
-    return int.from_bytes(buf, "big")
-
-
-def unpack(x: int, n: int) -> bytes:
-    """The exponent vector of n slots that `pack` made x from."""
-    return x.to_bytes(2 * n, "big")[1::2]
 
 
 def guard_bits(n: int) -> int:
@@ -407,14 +354,14 @@ class FactorizationContext:
     other atoms never need to be tried.  With an atom list these come from
     one precomputed list per pivot; without one (one-off long sequences
     where full atom enumeration is out of reach) the parts holding g of
-    `pivot_splits(B)` are tested for atomicity locally.
+    `sub_multisets` are tested for atomicity locally.
 
-    Keys are `pack`ed exponent vectors: the pivot of B is its most
-    significant non-zero slot, A | B and B - A come from one guarded
-    subtraction (`packed_remainders`), and L(B) is memoised as a bitmask
-    (bit l set when l is in L(B)).  Every key in that memo is product-one,
-    so the product-one test of B - A reads it before asking the engine's
-    `has_one`.
+    Keys are `pack`ed exponent vectors, as in the engine: the pivot of B is
+    its most significant non-zero slot, A | B and B - A come from one
+    guarded subtraction (`packed_remainders`), and L(B) is memoised as a
+    bitmask (bit l set when l is in L(B)).  Every key in that memo is
+    product-one, so the product-one test of B - A reads it before asking
+    the engine's `has_one`.
     """
 
     def __init__(self, group: Group, atoms: Optional[AtomSet] = None,
@@ -429,7 +376,8 @@ class FactorizationContext:
         if atoms is not None:
             self.by_pivot = [[] for _ in range(n)]
             for a in atoms.atoms:
-                self.by_pivot[pivot(bytes(a.exps))].append(pack(a.exps))
+                x = pack(a.exps)
+                self.by_pivot[pivot(x, n)].append(x)
         self._lengths: dict[int, int] = {0: 1}
 
     def lengths(self, seq: Sequence) -> LengthSet:
@@ -449,19 +397,18 @@ class FactorizationContext:
         acc = 0
         if self.by_pivot is not None:
             guard = self._guard
-            atoms = self.by_pivot[n - 1 - (x.bit_length() - 1 >> 4)]
+            atoms = self.by_pivot[pivot(x, n)]
             for _, rest in packed_remainders(x, atoms, guard):
                 sub = memo.get(rest)
                 if sub is None:
-                    if not has_one(unpack(rest, n)):
+                    if not has_one(rest):
                         continue
                     sub = self.length_mask(rest)
                 acc |= sub
         else:
-            for sub, comp in pivot_splits(unpack(x, n)):
-                if (engine.is_atom(sub)
-                        and (not any(comp) or has_one(comp))):
-                    acc |= self.length_mask(pack(comp))
+            for sub in sub_multisets(x, n, True):
+                if engine.is_atom(sub) and (sub == x or has_one(x - sub)):
+                    acc |= self.length_mask(x - sub)
         acc <<= 1
         memo[x] = acc
         return acc
@@ -503,7 +450,7 @@ class FactorizationContext:
         atoms = self.by_pivot[n - 1 - low]
         total = 0
         for idx, rest in packed_remainders(x, atoms, guard, start):
-            if rest not in lengths and not has_one(unpack(rest, n)):
+            if rest not in lengths and not has_one(rest):
                 continue
             # rest >= g_slot: B - A still holds g
             total += self._count(rest, idx if rest >= g_slot else 0, memo)

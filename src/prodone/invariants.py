@@ -33,12 +33,10 @@ from .factor import (
     enumerate_atoms,
     guard_bits,
     is_atom,
-    pack,
     packed_remainders,
-    unpack,
 )
 from .groups import Group, mask_elements
-from .sequences import MAX_MULTIPLICITY, PiEngine, Sequence
+from .sequences import MAX_MULTIPLICITY, PiEngine, Sequence, pack
 
 UNION_PRODUCT_BUDGET = 2_000_000
 SEMIGROUP_FRONTIER_BUDGET = 2_000_000
@@ -414,10 +412,13 @@ def omega(group: Group, class_semigroup=None,
 
     The lower bound is the largest machine-verified witness: atoms A_1..A_n
     with U dividing their product in the product-one monoid but dividing no
-    proper sub-product.  The generic witness pairs each term of a maximal
-    atom with its inverse.  The upper bound is D(G) + d(C) via the class
-    semigroup; for abelian groups the embedding into the free monoid is a
-    divisor homomorphism, which caps omega at D(G) directly.
+    proper sub-product.  The generic witness pairs each term of an atom U
+    with its inverse.  An automorphism maps U, its pairs and every
+    sub-product to those of the image atom, so the witness size is one per
+    Aut(G)-orbit of atoms, checked on the orbit's least atom; the witness
+    atom is the first atom of greatest size.  The upper bound is D(G) + d(C)
+    via the class semigroup; for abelian groups the embedding into the free
+    monoid is a divisor homomorphism, which caps omega at D(G) directly.
     """
     inv = inv or GroupInvariants(group)
     group_ = inv.group
@@ -428,15 +429,19 @@ def omega(group: Group, class_semigroup=None,
     best = 0
     best_atom = None
     best_factors: tuple[Sequence, ...] = ()
-    for atom in inv.atoms.atoms:
-        factors = _inverse_pair_factors(atom, engine)
-        n = _verified_witness_size(atom, factors, engine)
-        if n == 0:
-            # the trivial witness: the atom divides itself but no empty product
-            n, factors = 1, (atom,)
+    orbit_size: dict[int, int] = {}
+    for atom, orbit in zip(inv.atoms.atoms, inv.atoms.orbits):
+        n = orbit_size.get(orbit)
+        if n is None:  # the orbit's first atom, its least
+            factors = _inverse_pair_factors(atom, engine)
+            n = _verified_witness_size(atom, factors, engine)
+            if n == 0:
+                # the trivial witness: the atom divides itself but no empty product
+                n, factors = 1, (atom,)
+            orbit_size[orbit] = n
+            if n > best:
+                best, best_atom, best_factors = n, atom, factors
         per_atom.append((atom, n))
-        if n > best:
-            best, best_atom, best_factors = n, atom, factors
     if best_atom is None:
         raise ValidationFailure("no omega witness found")
 
@@ -481,8 +486,7 @@ def _verified_witness_size(atom: Sequence, factors: tuple[Sequence, ...],
         full = full.concat(f)
     if not divides_in_B(atom, full, engine):
         return 0
-    order = group.order
-    guard = guard_bits(order)
+    guard = guard_bits(group.order)
     divisor = [pack(atom.exps)]
     packed = [pack(f.exps) for f in factors]
     everything = (1 << n) - 1
@@ -498,7 +502,7 @@ def _verified_witness_size(atom: Sequence, factors: tuple[Sequence, ...],
         if subset == everything:
             continue
         for _, rest in packed_remainders(total, divisor, guard):
-            if not rest or engine.has_one(unpack(rest, order)):
+            if engine.has_one(rest):  # the empty rest included
                 return 0
     return n
 

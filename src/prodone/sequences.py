@@ -1,16 +1,24 @@
 """Sequences over a finite group and their product sets.
 
 A sequence is a multiset of group elements stored as an exponent vector.
-The central computation is pi(S): the set of all products of the terms of S
-over every ordering.  A central term commutes with every other, so
-pi(S) = pi(S_nc) * z, where S_nc is S without its central terms and z is
-their product; the identity is central, and on an abelian group S_nc is
-empty.  pi(S_nc) comes from dynamic programming over the sub-multisets of
-S_nc (P(M) = union over g in supp(M) of P(M - g) * g), memoized on packed
-exponent vectors.  G/G' is abelian, so every ordering of M multiplies into
-one coset c G' of the commutator subgroup; the DP stops at a node as soon as
-the children it has used fill c G', and visits only the sub-multisets it
-needs.  All product sets are bitmasks over the group.
+Inside the package an exponent vector is a `pack`ed int, 16 bits a slot
+with slot 0 most significant, so int order is lexicographic order and
+slot-wise sums and differences are int `+` and `-`; `pack` and `unpack`
+cross that boundary.  The central computation is pi(S): the set of all
+products of the terms of S over every ordering.  A central term commutes
+with every other, so pi(S) = pi(S_nc) * z, where S_nc is S without its
+central terms and z is their product; the identity is central, and on an
+abelian group S_nc is empty.  pi(S_nc) comes from dynamic programming over
+the sub-multisets of S_nc (P(M) = union over g in supp(M) of P(M - g) * g),
+memoized on packed keys.  G/G' is abelian, so every ordering of M
+multiplies into one coset c G' of the commutator subgroup; the DP stops at a
+node as soon as the children it has used fill c G', and visits only the
+sub-multisets it needs.  All product sets are bitmasks over the group.
+
+A split of a non-empty B is a pair (T, B - T).  Every unordered split has a
+part holding the pivot of B, its lowest term, so the split tests walk only
+the packed sub-multisets holding it (`sub_multisets` with ``hold_pivot``),
+and form B - T by one subtraction, only when T passes its own test.
 """
 
 from __future__ import annotations
@@ -210,46 +218,56 @@ class PiEngine:
     def __init__(self, group: Group, memo_cap: int = DEFAULT_MEMO_CAP):
         self.group = group
         self.memo_cap = memo_cap
-        self._memo: dict[bytes, int] = {bytes(group.order): 1 << 0}
-        self._atoms: dict[bytes, bool] = {}
+        n = group.order
+        self._memo: dict[int, int] = {0: 1 << 0}
+        self._atoms: dict[int, bool] = {}
         self._central = center_of(group).members
+        self._units = slot_units(n)
+        # the central slots, and the bits past MAX_MULTIPLICITY in a slot
+        self._central_slots = pack([255 * (g in self._central) for g in range(n)])
+        self._over = ~pack((MAX_MULTIPLICITY,) * n)
         self._coset: list[int] | None = None  # c -> mask of c G', at first use
 
     def memo_size(self) -> int:
         return len(self._memo)
 
     def pi_mask(self, exps) -> int:
-        """Bitmask of all ordered products of the multiset `exps`: the DP
-        over its non-central terms, times the product z of its central ones."""
-        key = bytes(exps)
+        """Bitmask of all ordered products of the multiset `exps` (packed,
+        or an exponent vector): the DP over its non-central terms, times
+        the product z of its central ones.  A slot past
+        `MAX_MULTIPLICITY` raises the ValueError of `pack`."""
+        key = exps if type(exps) is int else pack(exps)
         memo = self._memo
         got = memo.get(key)
         if got is not None:
             return got
-        mul = self.group.mul
-        nc = bytearray(key)
-        z = 0
+        if key & self._over:
+            raise ValueError("bytes must be in range(0, 256)")
+        if not key & self._central_slots:
+            return self._saturate(key)
+        mul, units = self.group.mul, self._units
+        slots = unpack(key, self.group.order)
+        nc, z = key, 0
         for g in self._central:
-            for _ in range(nc[g]):
+            e = slots[g]
+            for _ in range(e):
                 z = mul[z][g]
-            nc[g] = 0
-        nc_key = bytes(nc)
-        got = memo.get(nc_key)
+            nc -= e * units[g]
+        got = memo.get(nc)
         if got is None:
-            got = self._saturate(nc, nc_key)
-        if nc_key != key:
-            if z:
-                got = self.group.mul_mask(got, z)
-            self._store(key, got)
+            got = self._saturate(nc)
+        if z:
+            got = self.group.mul_mask(got, z)
+        self._store(key, got)
         return got
 
-    def _store(self, key: bytes, mask: int) -> None:
+    def _store(self, key: int, mask: int) -> None:
         if len(self._memo) >= self.memo_cap:
             raise ResourceLimitError(
                 f"product-set memo exceeded cap {self.memo_cap}")
         self._memo[key] = mask
 
-    def _saturate(self, top: bytearray, top_key: bytes) -> int:
+    def _saturate(self, top: int) -> int:
         """pi of the non-central multiset `top`, not yet in the memo.
 
         Every ordering of M multiplies into the coset c G' of the commutator
@@ -258,30 +276,29 @@ class PiEngine:
         those already in the memo first, then descends into the missing
         ones in slot order, and stops as soon as it holds all of c G'; so
         every stored mask is exact.  An explicit stack of
-        [multiset, key, c, mask, missing slots] frames keeps deep keys off
-        the Python call stack."""
+        [key, c, mask, missing slots] frames keeps deep keys off the Python
+        call stack."""
         group = self.group
+        n = group.order
         mul, inv, mul_mask = group.mul, group.inv, group.mul_mask
-        memo, coset = self._memo, self._coset
+        memo, coset, units = self._memo, self._coset, self._units
         if coset is None:
             comm = commutator_subgroup(group).mask()
-            coset = self._coset = [mul_mask(comm, c) for c in range(group.order)]
+            coset = self._coset = [mul_mask(comm, c) for c in range(n)]
         c = 0
-        for g, e in enumerate(top):
+        for g, e in enumerate(unpack(top, n)):
             for _ in range(e):
                 c = mul[c][g]
-        stack = [[top, top_key, c, None, None]]
+        stack = [[top, c, None, None]]
         while stack:
             frame = stack[-1]
-            cur, ck, c, mask, todo = frame
+            cur, c, mask, todo = frame
             full = coset[c]
             if todo is None:
                 mask, todo = 0, []
-                for g, e in enumerate(cur):
+                for g, e in enumerate(unpack(cur, n)):
                     if e:
-                        cur[g] = e - 1
-                        sm = memo.get(bytes(cur))
-                        cur[g] = e
+                        sm = memo.get(cur - units[g])
                         if sm is None:
                             todo.append(g)
                         else:
@@ -289,24 +306,21 @@ class PiEngine:
                             if mask == full:
                                 break
                 todo.reverse()
-                frame[4] = todo
+                frame[3] = todo
             while todo and mask != full:
                 g = todo[-1]
-                e = cur[g]
-                cur[g] = e - 1
-                sub = bytes(cur)
-                cur[g] = e
+                sub = cur - units[g]
                 sm = memo.get(sub)
                 if sm is None:
-                    frame[3] = mask
-                    stack.append([bytearray(sub), sub, mul[c][inv[g]], None, None])
+                    frame[2] = mask
+                    stack.append([sub, mul[c][inv[g]], None, None])
                     break
                 mask |= mul_mask(sm, g)
                 todo.pop()
             else:
-                self._store(ck, mask)
+                self._store(cur, mask)
                 stack.pop()
-        return memo[top_key]
+        return memo[top]
 
     def pi(self, seq: Sequence) -> ProductSet:
         return ProductSet(self.group, self.pi_mask(seq.exps))
@@ -314,20 +328,18 @@ class PiEngine:
     def is_product_one(self, seq: Sequence) -> bool:
         return bool(self.pi_mask(seq.exps) & 1)
 
-    def has_one(self, key: bytes) -> int:
+    def has_one(self, key: int) -> int:
         """Whether 1_G is in pi(key), as 1 or 0: the memo first, `pi_mask`
         only on a miss.  A non-empty product set is a non-zero mask, so a
         lookup that gives 0 or None is a miss."""
         return (self._memo.get(key) or self.pi_mask(key)) & 1
 
     def subsequence_mask(self, exps) -> int:
-        """Union of pi over all non-empty sub-multisets."""
+        """Union of pi over all non-empty sub-multisets of `exps` (packed,
+        or an exponent vector)."""
+        key = exps if type(exps) is int else pack(exps)
         mask = 0
-        first = True
-        for sub in iter_submultisets(exps):
-            if first:
-                first = False  # empty sub-multiset is excluded
-                continue
+        for sub in sub_multisets(key, self.group.order)[1:]:
             mask |= self.pi_mask(sub)
         return mask
 
@@ -337,17 +349,17 @@ class PiEngine:
     def is_product_one_free(self, seq: Sequence) -> bool:
         return not self.subsequence_mask(seq.exps) & 1
 
-    def is_atom(self, key: bytes) -> bool:
-        """Whether the non-empty multiset `key` is an atom: product-one, and
-        no split (T, key - T) from `pivot_splits` has both parts non-empty
-        and product-one.  Memoised."""
+    def is_atom(self, key: int) -> bool:
+        """Whether the non-empty packed multiset `key` is an atom:
+        product-one, and no part T of `sub_multisets(key, n, True)` but key
+        has T and key - T product-one.  Memoised."""
         got = self._atoms.get(key)
         if got is None:
             has_one = self.has_one
             got = bool(self.pi_mask(key) & 1)
             if got:
-                for sub, comp in pivot_splits(key):
-                    if has_one(sub) and any(comp) and has_one(comp):
+                for sub in sub_multisets(key, self.group.order, True):
+                    if has_one(sub) and sub != key and has_one(key - sub):
                         got = False
                         break
             self._atoms[key] = got
@@ -390,29 +402,48 @@ def iter_submultisets(exps) -> Iterator[bytes]:
         yield bytes(combo)
 
 
-def pivot(key: bytes) -> int:
-    """The pivot of a non-empty multiset: the index of its first non-zero
-    exponent, i.e. its lowest term."""
-    return len(key) - len(key.lstrip(b"\0"))
+def pack(exps) -> int:
+    """An exponent vector with slots 0..255 as one int of 16 bits per slot,
+    slot 0 most significant, so int order is the lexicographic order of the
+    vectors and slot-wise sums and differences are int `+` and `-`.  Raises
+    the ValueError of `bytes` on a slot outside 0..255."""
+    buf = bytearray(2 * len(exps))
+    buf[1::2] = bytes(exps)
+    return int.from_bytes(buf, "big")
 
 
-def pivot_splits(key: bytes) -> Iterator[tuple[bytes, bytes]]:
-    """(T, key - T) for every sub-multiset T of the non-empty `key` holding
-    its pivot, ascending in T, so the full key (with empty complement) comes
-    last.
+def unpack(x: int, n: int) -> bytes:
+    """The exponent vector of n slots that `pack` made x from."""
+    return x.to_bytes(2 * n, "big")[1::2]
 
-    Every unordered split {T, C} of key has a part holding the pivot, so
-    scanning these pairs reaches every split (once, or in both orders when
-    both parts hold it).  Both halves come from itertools.product over
-    ascending and descending ranges.
-    """
-    p = pivot(key)
-    up = [range(e + 1) for e in key]
-    down = [range(e, -1, -1) for e in key]
-    up[p] = range(1, key[p] + 1)
-    down[p] = range(key[p] - 1, -1, -1)
-    return zip(map(bytes, itertools.product(*up)),
-               map(bytes, itertools.product(*down)))
+
+def slot_units(n: int) -> list[int]:
+    """The packed one-term vectors of n slots: units[g] is `pack` of g."""
+    return [1 << 16 * (n - 1 - g) for g in range(n)]
+
+
+def pivot(x: int, n: int) -> int:
+    """The pivot of a non-empty packed multiset over n slots: its first
+    non-zero slot, i.e. its lowest term."""
+    return n - (x.bit_length() + 15 >> 4)
+
+
+def sub_multisets(x: int, n: int, hold_pivot: bool = False) -> list[int]:
+    """The packed sub-multisets of the packed x over n slots, ascending, so
+    the empty one comes first and x last, built slot by slot from the last.
+    With ``hold_pivot``, only the parts T of the splits (T, x - T) of a
+    non-empty x that hold its pivot: these reach every unordered split
+    (once, or in both orders when both parts hold the pivot)."""
+    slots = unpack(x, n)
+    p = pivot(x, n)
+    parts, unit = [0], 1
+    for g in range(n - 1, p - 1, -1):
+        if slots[g]:
+            first = unit if hold_pivot and g == p else 0
+            parts = [t + v for v in range(first, (slots[g] + 1) * unit, unit)
+                     for t in parts]
+        unit <<= 16
+    return parts
 
 
 def iter_multisets(n: int, max_total: int) -> Iterator[tuple[int, ...]]:

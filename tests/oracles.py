@@ -12,13 +12,15 @@ runs Light's test over the one-term classes; `oracle_semigroup_davenport`
 recounts every sub-multiset sum of every frontier candidate; and
 `oracle_pi_lattice` keeps the central split of `PiEngine.pi_mask` but fills
 the whole sub-multiset lattice, with no stop at the commutator coset; and
-`oracle_least_image` keeps `factor.orbit_getters` but applies every
-automorphism to the key, with no trie.  `oracle_atom_products`,
+`oracle_least_image` applies every automorphism of `orbit_getters` to the
+key, where the atom scan carries packed images.  `oracle_atom_products`,
 `oracle_delta_set` and `oracle_witness_size` keep the package's atoms,
 `FactorizationContext.lengths`, `pi_mask` and `divides_in_B`, and check only
 the product sweep, the reading of L(B) off its levels and omega's packed
 sub-product sums: the first rebuilds every orbit from the getter list, the
 second scans every multiset and the third concatenates `Sequence`s.
+`oracle_omega_lower` keeps omega's witness check and runs it on every atom,
+where `invariants.omega` runs it once per Aut(G)-orbit.
 """
 
 from __future__ import annotations
@@ -26,19 +28,35 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import comb
-from operator import add
+from operator import add, itemgetter
 
 from prodone import classsemi
 from prodone.errors import BudgetExceededError, ValidationFailure
-from prodone.factor import divides_in_B, orbit_getters, small_davenport
+from prodone.factor import divides_in_B, small_davenport
 from prodone.groups import Group, center_of, closure_of
-from prodone.invariants import GroupInvariants, SemigroupDavenport
+from prodone.invariants import (
+    GroupInvariants,
+    SemigroupDavenport,
+    _inverse_pair_factors,
+    _verified_witness_size,
+)
 from prodone.sequences import (
     PiEngine,
     Sequence,
     iter_multisets,
     iter_multisets_exact,
+    pack,
 )
+
+
+def orbit_getters(group: Group, sup: tuple[int, ...]) -> list[itemgetter]:
+    """One getter per automorphism other than the identity that maps the
+    support set onto itself; applied to an exponent vector over G, it
+    returns the tuple of an image multiset."""
+    inside = set(sup)
+    return [itemgetter(*p) for p in sorted(set(group.automorphisms()))
+            if p != tuple(range(group.order))
+            and all(p[g] in inside for g in sup)]
 
 
 def oracle_pi(seq: Sequence) -> set[int]:
@@ -164,8 +182,7 @@ def oracle_atoms(group: Group, max_len: int) -> list[Sequence]:
 
 def oracle_least_image(key: bytes, getters) -> tuple[int, ...]:
     """The least (lexicographically) member of the orbit of an exponent
-    vector: the key and its image under every getter of
-    `factor.orbit_getters`."""
+    vector: the key and its image under every getter of `orbit_getters`."""
     return min([tuple(key), *[get(key) for get in getters]])
 
 
@@ -187,7 +204,7 @@ def lexicographic_atoms(group: Group, support=None) -> list[Sequence]:
             exps = tuple(exps)
             if any(get(exps) < exps for get in getters):
                 continue
-            if engine.is_atom(bytes(exps)):
+            if engine.is_atom(pack(exps)):
                 out.update((exps, *(get(exps) for get in getters)))
     return [Sequence(group, exps)
             for exps in sorted(out, key=lambda e: (sum(e), e))]
@@ -198,7 +215,7 @@ def oracle_atom_products(inv: GroupInvariants,
     """The k-atom products Z_k, one Aut(G)-orbit representative each (the
     least exponent tuple of its orbit), and |Z_k|: every canonical product
     of k - 1 atoms times every atom, each raw product's orbit rebuilt from
-    `factor.orbit_getters`."""
+    `orbit_getters`."""
     group = inv.group
     getters = orbit_getters(group, tuple(range(group.order)))
     atoms = [a.exps for a in inv.atoms.atoms]
@@ -226,7 +243,7 @@ def oracle_atom_products(inv: GroupInvariants,
 def oracle_delta_set(group: Group, length_bound: int,
                      inv: GroupInvariants) -> tuple[int, ...]:
     """Delta over the product-one B with 0 < |B| <= length_bound: every
-    multiset that is the least of its orbit under `factor.orbit_getters`,
+    multiset that is the least of its orbit under `orbit_getters`,
     tested with `pi_mask`, its L(B) from `FactorizationContext.lengths`."""
     getters = orbit_getters(group, tuple(range(group.order)))
     delta: set[int] = set()
@@ -256,6 +273,22 @@ def oracle_witness_size(atom: Sequence, factors, engine: PiEngine) -> int:
         if divides_in_B(atom, sub, engine):
             return 0
     return n
+
+
+def oracle_omega_lower(inv: GroupInvariants):
+    """omega's lower bound, witness atom and factors, and per-atom sizes,
+    by the inverse-pair witness check on every atom in turn."""
+    per_atom = []
+    best, best_atom, best_factors = 0, None, ()
+    for atom in inv.atoms.atoms:
+        factors = _inverse_pair_factors(atom, inv.engine)
+        n = _verified_witness_size(atom, factors, inv.engine)
+        if n == 0:
+            n, factors = 1, (atom,)
+        per_atom.append((atom, n))
+        if n > best:
+            best, best_atom, best_factors = n, atom, factors
+    return best, best_atom, best_factors, tuple(per_atom)
 
 
 def oracle_lengths(seq: Sequence) -> set[int]:

@@ -13,14 +13,9 @@ from prodone.checks import (
     seminormality,
 )
 from prodone.errors import BudgetExceededError
-from prodone.factor import (
-    canonical_atoms,
-    is_atom,
-    least_image,
-    orbit_trie,
-)
+from prodone.factor import atom_splits, canonical_atoms, is_atom
 from prodone.groups import parse_group
-from prodone.sequences import PiEngine, Sequence
+from prodone.sequences import PiEngine, Sequence, pack, unpack
 
 
 def validate_seminormality_witness(group, engine, seq):
@@ -114,22 +109,28 @@ def test_property_p_orbit_cache_matches_unreduced(groups, unreduce):
 def test_two_atom_verdict_is_automorphism_invariant(groups, engines):
     """The fact the orbit cache of property_P rests on: every split of every
     canonical atom gets the verdict of each of its images under Aut(G), and
-    `least_image` is the least of those images."""
+    the least member that the atom scan carries for each split is the least
+    of those images."""
     for spec, n_auts in (("D8", 8), ("Q8", 24)):
         group, engine = groups[spec], engines[spec]
         n = group.order
         auts = group.automorphisms()
         assert len(auts) == n_auts
-        trie = orbit_trie(group, tuple(range(n)))
-        for atom in canonical_atoms(group, tuple(range(n)), engine,
-                                    10_000, n):
+        least_of = {}
+        for atom, g, h1, least, _, _ in atom_splits(
+                group, tuple(range(n)), engine, 10_000, n):
+            least_of[atom, g, h1] = least
+        checked = 0
+        for _, packed, _ in canonical_atoms(group, tuple(range(n)), engine,
+                                            10_000, n):
+            atom = tuple(unpack(packed, n))
             for g in Sequence(group, atom).support():
                 for h1 in range(n):
                     split = list(atom)
                     split[g] -= 1
                     split[h1] += 1
                     split[group.mul[group.inv[h1]][g]] += 1
-                    key = bytes(split)
+                    key = pack(split)
                     ok = _two_atom_bound_ok(key, engine)
                     images = []
                     for sigma in auts:
@@ -137,8 +138,13 @@ def test_two_atom_verdict_is_automorphism_invariant(groups, engines):
                         for x, e in enumerate(split):
                             image[sigma[x]] += e
                         images.append(tuple(image))
-                        assert _two_atom_bound_ok(bytes(image), engine) == ok
-                    assert least_image(key, trie) == min(images)
+                        assert _two_atom_bound_ok(pack(image), engine) == ok
+                    # the scan yields each split once, at its first (g, h1)
+                    least = least_of.get((packed, g, h1))
+                    if least is not None:
+                        assert least == pack(min(images))
+                        checked += 1
+        assert checked == len(least_of) > 100
 
 
 def test_property_p_over_the_automorphism_cap_is_unreduced(unreduce):

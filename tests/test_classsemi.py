@@ -26,7 +26,7 @@ from prodone.classsemi import (
 from prodone.errors import ValidationFailure
 from prodone.groups import abelian_invariants, light_failure, parse_group
 from prodone.invariants import semigroup_davenport
-from prodone.sequences import PiEngine, Sequence, iter_multisets
+from prodone.sequences import PiEngine, Sequence, iter_multisets, pack
 
 
 def _lasso(semi, g):
@@ -159,6 +159,25 @@ def test_regularity_d6_matches_listed_classes(groups, class_semigroups):
     ]
     assert {lit(s) for s in non_regular_reps} == set(rep.non_regular)
     assert len(rep.non_regular) == 14
+
+
+@pytest.mark.parametrize("spec", ["D6", "D8", "Q8", "D10"])
+def test_regularity_report_matches_the_per_class_definition(
+        class_semigroups, request, spec):
+    """c is regular when some idempotent e has c + e = c and c + y = e for
+    some y: every class against every class of the table."""
+    semi = (class_semigroups[spec][0] if spec in class_semigroups
+            else request.getfixturevalue("d10_semigroup"))
+    op, n_cl = semi.op, semi.n_classes
+    idems = [e for e in range(n_cl) if op[e][e] == e]
+    regular = tuple(c for c in range(n_cl)
+                    if any(op[c][e] == c and any(op[c][y] == e
+                                                 for y in range(n_cl))
+                           for e in idems))
+    rep = regularity_report(semi)
+    assert rep.regular == regular
+    assert rep.non_regular == tuple(c for c in range(n_cl) if c not in regular)
+    assert rep.is_clifford == (len(regular) == n_cl)
 
 
 def test_regularity_clifford_for_small_commutator(class_semigroups):
@@ -375,7 +394,7 @@ def test_underexplored_table_is_caught_by_validation(spec, max_len, n_classes):
     fail."""
     group = parse_group(spec)
     engine = PiEngine(group)
-    semi = explore(group, list(map(bytes, iter_multisets(group.order, max_len))),
+    semi = explore(group, list(map(pack, iter_multisets(group.order, max_len))),
                    engine)
     assert semi.n_classes == n_classes
     with pytest.raises(ValidationFailure):
@@ -487,11 +506,23 @@ def test_memo_cap_bounds_the_keyed_sequences(groups):
     stop the search before they are keyed."""
     from prodone.errors import BudgetExceededError
     engine = PiEngine(groups["D6"], memo_cap=200)
-    contexts = list(map(bytes, iter_multisets(6, 3)))  # 84, of length <= 3
+    contexts = list(map(pack, iter_multisets(6, 3)))  # 84, of length <= 3
     with pytest.raises(BudgetExceededError,
                        match=r"3 sequences keyed over 84 contexts at context "
                              r"length 3 exceed the memo cap 200"):
         explore(groups["D6"], contexts, engine)
+
+
+def test_explore_rejects_a_slot_past_a_byte(groups):
+    """A keyed vector plus a context with a slot past 255 raises the
+    ValueError of `pack` instead of carrying into the next slot."""
+    d6 = groups["D6"]
+    b = d6.index_of("b")  # not central
+    long, wide = (pack([k if g == b else 0 for g in range(6)])
+                  for k in (100, 255))
+    assert explore(d6, [0, long], PiEngine(d6)).n_classes > 1
+    with pytest.raises(ValueError, match="range"):
+        explore(d6, [0, wide], PiEngine(d6))
 
 
 def _d6_with_bb_set_to_b(semi):
@@ -715,7 +746,7 @@ def test_merged_states_are_the_sequences_triples(spec):
     group = parse_group(spec)
     engine = PiEngine(group)
     built = discover_folds(group, engine)
-    under = explore(group, [bytes(group.order)], engine)
+    under = explore(group, [0], engine)
     bad = copy.copy(built)
     z = max(built.structure.center.members)
     c, s = built.singletons[z - 1], built.singletons[z]

@@ -10,27 +10,24 @@ from oracles import (
     oracle_atoms,
     oracle_least_image,
     oracle_lengths,
+    orbit_getters,
 )
 from prodone.checks import _two_atom_bound_ok
 from prodone.errors import BudgetExceededError, SequenceError
 from prodone.factor import (
     FactorizationContext,
+    atom_splits,
     davenport,
     divides_in_B,
     enumerate_atoms,
     factorization_lengths,
     guard_bits,
     is_atom,
-    least_image,
-    orbit_getters,
-    orbit_trie,
-    pack,
     packed_remainders,
     small_davenport,
-    unpack,
 )
-from prodone.groups import analyze, closure_of, parse_group
-from prodone.sequences import Sequence, iter_multisets
+from prodone.groups import analyze, parse_group
+from prodone.sequences import PiEngine, Sequence, iter_multisets, pack, unpack
 
 
 def test_atoms_c3_exact(groups, invariants_ctx):
@@ -103,7 +100,7 @@ def test_free_witness_plus_inverse_is_atom(groups, engines):
         levels = _free_frontier(group, tuple(range(group.order)), engine)
         for level in levels:
             for exps, _reach in level:
-                seq = Sequence(group, tuple(exps))
+                seq = Sequence(group, tuple(unpack(exps, group.order)))
                 for g in engine.pi(seq).elements():
                     extended = seq.concat(Sequence.from_terms(group, [group.inv[g]]))
                     assert is_atom(extended, engine), extended
@@ -382,48 +379,33 @@ def test_orbit_getters_fix_the_support(groups):
     ("C2xC2xC2", None),
     ("D8", ("a", "a3", "b", "a2b")),
     ("D8", ("a", "a3")),
+    ("C2xD6", None),
+    ("Q8", ("I", "J", "-I", "-J")),
 ])
 def test_orbit_trie_gives_the_least_image(spec, names):
-    """The trie's pruned descent returns the least image of every key over
-    H = <sup>, as applying every automorphism does."""
+    """Every split the atom scan yields, up to atoms of length 5, carries
+    the orbit of the split under the automorphisms fixing the support set,
+    one image per automorphism, and its least member, as applying every
+    automorphism does.  (The name is kept from the prefix trie over Aut(G)
+    that found the least member before the scan carried the images.)"""
     group = parse_group(spec)
     n = group.order
     sup = tuple(range(n)) if names is None else tuple(
         sorted(group.index_of(x) for x in names))
-    trie, getters = orbit_trie(group, sup), orbit_getters(group, sup)
-    span = sorted(closure_of(group, sup))
-    rng = random.Random(f"{spec} {names}")
-    for _ in range(400):
-        exps = [0] * n
-        for g in span:
-            exps[g] = rng.choice((0, 0, 0, 1, 1, 2, 3))
-        key = bytes(exps)
-        assert least_image(key, trie) == oracle_least_image(key, getters)
-
-
-def test_orbit_trie_collapses_chains(unreduce):
-    """Aut(D14) sends a to a^u and b to a^v b: six branches on the rotations,
-    each a chain read by one getter, then seven on the reflections.  The 168
-    automorphisms of C2xC2xC2 branch at each of three basis vectors."""
-    d14, c222 = parse_group("D14"), parse_group("C2xC2xC2")
-    trie = orbit_trie(d14, tuple(range(14)))
-    assert len(trie) == 6
-    assert all(len(node[1]) == 7 and all(leaf[0] is None for leaf in node[1])
-               for node in trie)
-    shape, nodes = [], orbit_trie(c222, tuple(range(8)))
-    while True:
-        shape.append(len(nodes))
-        if nodes[0][0] is None:
-            break
-        nodes = nodes[0][1]
-    assert shape == [7, 6, 4]
-    unreduce()
-    trie = orbit_trie(d14, tuple(range(14)))
-    assert len(trie) == 1 and trie[0][0] is None
-    key = bytes([0, 0, 2, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1])
-    assert least_image(key, trie) == tuple(key)
-    assert oracle_least_image(key, orbit_getters(d14, tuple(range(14)))) \
-        == tuple(key)
+    getters = orbit_getters(group, sup)
+    splits = 0
+    for atom, t, h, least, _, images in atom_splits(
+            group, sup, PiEngine(group), 10**6, 5):
+        split = list(unpack(atom, n))
+        split[t] -= 1
+        split[h] += 1
+        split[group.mul[group.inv[h]][t]] += 1
+        key = bytes(split)
+        assert len(images) == len(getters) + 1
+        assert set(images) == {pack(key), *(pack(get(key)) for get in getters)}
+        assert least == pack(oracle_least_image(key, getters))
+        splits += 1
+    assert splits > 10
 
 
 def test_atom_enumeration_budget_counts_skipped_candidates(groups, unreduce):
@@ -498,10 +480,10 @@ def test_local_split_lengths_match_atom_list(invariants_ctx, spec):
     local = FactorizationContext(inv.group, None, inv.engine)
     for seq in _product_one_samples(inv.group, inv.engine, 67, 25, 9):
         assert local.lengths(seq) == inv.context.lengths(seq), seq
-    # the split tests built on pivot_splits against the brute-force oracle
+    # the split tests built on sub_multisets against the brute-force oracle
     for seq in _product_one_samples(inv.group, inv.engine, 71, 25, 8):
         want = oracle_lengths(seq)
         assert set(local.lengths(seq).lengths) == want, seq
         assert is_atom(seq, inv.engine) == (1 in want), seq
-        assert _two_atom_bound_ok(bytes(seq.exps),
+        assert _two_atom_bound_ok(pack(seq.exps),
                                   inv.engine) == bool(want & {1, 2}), seq

@@ -10,11 +10,14 @@ import pytest
 from oracles import (
     oracle_atom_products,
     oracle_delta_set,
+    oracle_omega_lower,
     oracle_semigroup_davenport,
     oracle_witness_size,
 )
+from prodone import invariants
+from prodone.classsemi import build
 from prodone.errors import BudgetExceededError
-from prodone.factor import davenport, divides_in_B, unpack
+from prodone.factor import davenport, divides_in_B
 from prodone.groups import analyze, parse_group
 from prodone.invariants import (
     SEMIGROUP_FRONTIER_BUDGET,
@@ -29,7 +32,7 @@ from prodone.invariants import (
     semigroup_davenport_of_group,
     unions_of_lengths,
 )
-from prodone.sequences import Sequence
+from prodone.sequences import Sequence, unpack
 
 
 def test_session_davenport_reuses_the_session_atoms(groups, engines,
@@ -389,6 +392,29 @@ def test_omega_witness_is_genuine(groups, invariants_ctx, engines):
             if mask >> i & 1:
                 sub = sub.concat(rep.witness_factors[i])
         assert not divides_in_B(rep.witness_atom, sub, engine)
+
+
+@pytest.mark.parametrize("spec,orbits", [
+    ("C6", 12), ("C2xC4", 12), ("D6", 14), ("D8", 20), ("Q8", 13),
+    ("D12", 107),
+])
+def test_omega_checks_one_atom_per_orbit(spec, orbits, monkeypatch):
+    """omega's full report, per_atom included, equals the per-atom loop of
+    the oracle, from one witness check per Aut(G)-orbit of atoms."""
+    group = parse_group(spec)
+    inv = GroupInvariants(group)
+    semi = None if group.is_abelian else build(group)
+    checked = []
+    check = invariants._verified_witness_size
+    monkeypatch.setattr(invariants, "_verified_witness_size",
+                        lambda atom, *rest: checked.append(atom)
+                        or check(atom, *rest))
+    rep = omega(group, semi, inv)
+    lower, atom, factors, per_atom = oracle_omega_lower(inv)
+    assert rep == (lower, rep.upper, lower == rep.upper, rep.upper_reason,
+                   atom, factors, per_atom)
+    assert len(checked) == len(set(inv.atoms.orbits)) == orbits
+    assert orbits < len(inv.atoms)
 
 
 @pytest.mark.parametrize("spec", ["C6", "C2xC4", "D6", "D8", "Q8"])

@@ -20,10 +20,12 @@ from prodone.sequences import (
     is_product_one_free,
     iter_multisets,
     iter_multisets_exact,
+    pack,
     pivot,
-    pivot_splits,
     product_set,
+    sub_multisets,
     subsequence_products,
+    unpack,
 )
 
 
@@ -248,8 +250,10 @@ def test_saturating_pi_matches_the_lattice_dp(spec):
     lattice = {bytes(group.order): 1}
     for _ in range(150):
         key = _random_key(rng, group.order, rng.randint(0, 14))
-        assert engine.pi_mask(key) == oracle_pi_lattice(group, key, lattice)
-    assert all(lattice[k] == mask for k, mask in engine._memo.items())
+        assert engine.pi_mask(pack(key)) == oracle_pi_lattice(group, key, lattice)
+    # the memo is keyed by packed vectors, the lattice by bytes
+    assert all(lattice[unpack(k, group.order)] == mask
+               for k, mask in engine._memo.items())
     for _ in range(3):
         key = _random_key(rng, group.order, 14)
         fresh, own = PiEngine(group), {bytes(group.order): 1}
@@ -281,7 +285,7 @@ def test_engine_is_atom_matches_oracle_atoms(groups, spec):
     engine = PiEngine(group)
     want = {a.exps for a in oracle_atoms(group, group.order)}
     got = {exps for exps in iter_multisets(group.order, group.order)
-           if sum(exps) and engine.is_atom(bytes(exps))}
+           if sum(exps) and engine.is_atom(pack(exps))}
     assert got == want
 
 
@@ -291,7 +295,7 @@ def test_has_one_agrees_with_pi_mask(groups, spec):
     a second engine's `pi_mask`."""
     group = groups[spec]
     engine, reference = PiEngine(group), PiEngine(group)
-    keys = [bytes(e) for e in iter_multisets(group.order, 4)]
+    keys = [pack(e) for e in iter_multisets(group.order, 4)]
     for _ in range(2):
         got = [engine.has_one(key) for key in keys]
         assert got == [reference.pi_mask(key) & 1 for key in keys]
@@ -316,18 +320,42 @@ def test_iter_multisets_exact_keeps_the_recursive_order():
 
 
 def test_pivot_splits_are_exact_and_cover_every_split():
-    assert pivot(bytes((0, 0, 3, 1))) == 2
+    """`sub_multisets` gives every part, ascending, and with ``hold_pivot``
+    the parts T of the splits (T, x - T) holding the pivot, once."""
+    assert pivot(pack((0, 0, 3, 1)), 4) == 2
     for n in range(1, 5):
         for exps in iter_multisets(n, 5):
             if not sum(exps):
                 continue
-            key = bytes(exps)
-            p = pivot(key)
-            subs = [bytes(t) for t in itertools.product(*(range(e + 1) for e in key))]
-            splits = [(t, bytes(a - b for a, b in zip(key, t))) for t in subs]
-            got = list(pivot_splits(key))
-            # every (T, key - T) with T holding the pivot, once, ascending
-            assert got == [(t, c) for t, c in splits if t[p]], key
-            assert got[-1] == (key, bytes(n))
+            x = pack(exps)
+            p = pivot(x, n)
+            subs = [t for t in itertools.product(*(range(e + 1) for e in exps))]
+            splits = [(pack(t), pack(tuple(a - b for a, b in zip(exps, t))))
+                      for t in subs]
+            assert sub_multisets(x, n) == [t for t, _ in splits], exps
+            got = [(t, x - t) for t in sub_multisets(x, n, True)]
+            # every (T, x - T) with T holding the pivot, once, ascending
+            assert got == [(pack(t), c) for t, (_, c) in zip(subs, splits)
+                           if t[p]], exps
+            assert got[-1] == (x, 0)
             pairs = set(got)
-            assert all((t, c) in pairs or (c, t) in pairs for t, c in splits), key
+            assert all((t, c) in pairs or (c, t) in pairs for t, c in splits), exps
+
+
+def test_slots_past_a_byte_raise_at_the_engine(groups):
+    """A packed sum with a slot past 255 raises the ValueError of `pack`
+    and never carries into the next slot: the engine rejects it before the
+    memo, and `has_one` and `is_atom` reach the same check."""
+    d6 = groups["D6"]
+    engine = PiEngine(d6)
+    full = pack((255,) + (0,) * 5)
+    one = pack((1,) + (0,) * 5)
+    over = full + one  # 256 in slot 0: bit 8 of the slot, not slot -1
+    assert unpack(over, 6) == bytes(6)  # what a wrap would read
+    for call in (engine.pi_mask, engine.has_one, engine.is_atom):
+        with pytest.raises(ValueError, match="range"):
+            call(over)
+    with pytest.raises(ValueError, match="range"):
+        engine.pi_mask(pack((0, 200, 0, 0, 0, 0)) + pack((0, 100, 0, 0, 0, 0)))
+    assert engine.memo_size() == 1
+    assert engine.pi_mask(full) == 1 << 0 and engine.has_one(full)

@@ -55,7 +55,7 @@ def test_atom_set_len_and_equality():
     atoms = enumerate_atoms(d6)
     assert len(atoms) == len(atoms.atoms) > 0
     assert atoms == enumerate_atoms(parse_group("D6"))
-    empty = AtomSet(d6, (), (), 0)
+    empty = AtomSet(d6, (), (), 0, ())
     assert len(empty) == 0 and empty != atoms
 
 
