@@ -15,8 +15,8 @@ BENCH_lengths_sweep.json; other entries are kept).
   seeds: parent first), and reports the medians and quartiles of the
   end-to-end metrics and the seeds on which the change read lower.  At 28 s
   a run, ten seeds take about 40 minutes on a 2-core x86-64 machine.
-- ``traced`` runs ``perfbench/run.py --trace 1 --seed 1`` on ``invariants``
-  and ``semigroup`` on each side and keeps the per-layer metrics.
+- ``traced`` runs ``perfbench/run.py --trace 1 --seed 1`` on ``invariants``,
+  ``scan`` and ``semigroup`` on each side and keeps the per-layer metrics.
 - ``reach`` times longer lengths-layer calls, one child process per call and
   side: each call runs ``REPEATS`` times (once for the rows that name their
   own count) on a fresh ``GroupInvariants`` (built outside the timing) and
@@ -40,7 +40,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 DEFAULT_OUT = os.path.join(os.path.dirname(HERE), "BENCH_lengths_sweep.json")
 WORKLOADS = ("invariants", "scan", "semigroup", "cli")
 METRICS = ("setup_s", "batch_s", "peak_rss_mb")
-TRACED = ("invariants", "semigroup")
+TRACED = ("invariants", "scan", "semigroup")
 REPEATS = 3
 
 # name -> (group spec, code run on `g` and a fresh `inv`, returning the

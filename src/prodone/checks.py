@@ -75,9 +75,9 @@ def _two_atom_bound_ok(key: int, engine: PiEngine) -> bool:
     atoms."""
     if engine.is_atom(key):
         return True
-    has_one, is_atom = engine.has_one, engine.is_atom
+    in_pi, has_one, is_atom = engine.in_pi, engine.has_one, engine.is_atom
     for sub in sub_multisets(key, engine.group.order, True):
-        if (sub != key and has_one(sub) and has_one(key - sub)
+        if (sub != key and in_pi(sub, 0) and has_one(key - sub)
                 and is_atom(sub) and is_atom(key - sub)):
             return True
     return False

@@ -596,26 +596,28 @@ def _validate_recognition(semi: ClassSemigroup, engine: PiEngine,
     product-one tests: every sequence up to the exhaustive length, then
     N_RANDOM seeded longer ones.  S is product-one iff z^-1 lies in
     pi(S_nc), z the product of its central terms, so the check of S depends
-    only on its triple (class, z, S_nc).  The exhaustive part checks each
-    triple of ``_triples`` once, which covers all comb(l + n, n) sequences
-    of length <= l: the count reported.  The random part (``_check_random``)
-    draws the vectors that ``randint`` and ``randrange`` would draw from the
-    seed, and walks each through the table slot by slot, as ``class_of``
-    does, so no associativity is assumed and a failure names the sequence
-    that a per-sequence sweep names first.
+    only on its triple (class, z, S_nc); `PiEngine.in_pi` answers it from
+    the coset of S_nc when z^-1 lies outside it, with no product set and no
+    memo entry.  The exhaustive part checks each triple of ``_triples``
+    once, which covers all comb(l + n, n) sequences of length <= l: the
+    count reported.  The random part (``_check_random``) draws the vectors
+    that ``randint`` and ``randrange`` would draw from the seed, and walks
+    each through the table slot by slot, as ``class_of`` does, so no
+    associativity is assumed and a failure names the sequence that a
+    per-sequence sweep names first.
     """
     from .factor import small_davenport
     group = semi.group
     n = group.order
     accept, inv = semi.accept, group.inv
-    pi = engine.pi_mask
+    in_pi = engine.in_pi
     l_target = small_davenport(group, engine) + 4
     l_exh = l_target
     while l_exh > 1 and comb(l_exh + n, n) > EXHAUSTIVE_BUDGET:
         l_exh -= 1
 
     def ok(cls: int, z: int, nc: int) -> bool:
-        return accept[cls] == bool(pi(nc) >> inv[z] & 1)
+        return accept[cls] == in_pi(nc, inv[z])
 
     _check_states(semi, l_exh, "recognition", ok)
     l_max = 2 * l_target

@@ -517,8 +517,10 @@ def semigroup_davenport(op: Iterable[Iterable[int]],
     Each frontier entry carries, as bitmasks over the elements, the sums A
     of all its index-subsets and the sums P of its proper ones.  Appending
     c gives P' = A | P*c and A' = A | A*c, and the extension is irredundant
-    exactly when its total is not in P'.  ``budget`` bounds the candidates
-    explored.
+    exactly when its total t is not in P': when t is not in A, and P meets
+    no x with x*c = t, one AND with the precomputed mask ``fiber[c][t]``.
+    An entry's sums are listed as elements only once one of its candidates
+    is accepted.  ``budget`` bounds the candidates explored.
     """
     table = [list(row) for row in op]
     size = len(table)
@@ -535,6 +537,12 @@ def semigroup_davenport(op: Iterable[Iterable[int]],
             if table[a][b] != table[b][a]:
                 raise ValueError("operation table is not commutative")
 
+    # fiber[c][v]: the mask of the x with x*c = v, so that a candidate's
+    # proper sums reach its total exactly when they meet that fiber
+    fiber = [[0] * size for _ in range(size)]
+    for by_c, fib in zip(table, fiber):
+        for x, v in enumerate(by_c):
+            fib[v] |= 1 << x
     # frontier of irredundant multisets, canonical by non-decreasing element:
     # (multiset, total, A, P); table[c][x] is x*c, as the table commutes
     frontier: list[tuple[tuple[int, ...], int, int, int]] = [((), ident, 1 << ident, 0)]
@@ -544,7 +552,7 @@ def semigroup_davenport(op: Iterable[Iterable[int]],
         nxt: list[tuple[tuple[int, ...], int, int, int]] = []
         for ms, total, sums, proper in frontier:
             start = ms[-1] if ms else 0
-            sum_elems, proper_elems = mask_elements(sums), mask_elements(proper)
+            sum_elems = None  # listed once a candidate is accepted
             row = table[total]
             for c in range(start, size):
                 explored += 1
@@ -552,10 +560,12 @@ def semigroup_davenport(op: Iterable[Iterable[int]],
                     raise BudgetExceededError(
                         f"semigroup Davenport frontier exceeded {budget}")
                 cand_total = row[c]
-                by_c = table[c]
-                if sums >> cand_total & 1 or any(by_c[p] == cand_total
-                                                 for p in proper_elems):
+                if sums >> cand_total & 1 or proper & fiber[c][cand_total]:
                     continue
+                if sum_elems is None:
+                    sum_elems = mask_elements(sums)
+                    proper_elems = mask_elements(proper)
+                by_c = table[c]
                 sums_c = proper_c = 0
                 for x in sum_elems:
                     sums_c |= 1 << by_c[x]

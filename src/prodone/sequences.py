@@ -13,7 +13,10 @@ the sub-multisets of S_nc (P(M) = union over g in supp(M) of P(M - g) * g),
 memoized on packed keys.  G/G' is abelian, so every ordering of M
 multiplies into one coset c G' of the commutator subgroup; the DP stops at a
 node as soon as the children it has used fill c G', and visits only the
-sub-multisets it needs.  All product sets are bitmasks over the group.
+sub-multisets it needs.  The same coset settles a membership query: an x
+outside c G' is never in pi(M), so `PiEngine.in_pi` answers it from the
+terms of M, with no DP and no memo entry.  All product sets are bitmasks
+over the group.
 
 A split of a non-empty B is a pair (T, B - T).  Every unordered split has a
 part holding the pivot of B, its lowest term, so the split tests walk only
@@ -206,13 +209,20 @@ class ProductSet:
 class PiEngine:
     """Memoized product-set computations for one group.
 
-    The memo is keyed by the packed exponent vector.  It holds every queried
-    key and the sub-multisets of its non-central part that the DP needed,
-    each with its exact product set; one engine per top-level computation
-    keeps memory bounded and results reproducible.  The atom memo holds only
-    keys already in the pi memo, so `memo_cap` bounds both.  The hot loops
-    of the atom test, the lengths layer, property P and omega ask
-    `has_one`, which reads the memo and calls `pi_mask` only on a miss.
+    The memo is keyed by the packed exponent vector.  It holds every key
+    whose product set was computed and the sub-multisets of its non-central
+    part that the DP needed, each with its exact product set; one engine
+    per top-level computation keeps memory bounded and results
+    reproducible.  The atom memo holds only keys already in the pi memo, so
+    `memo_cap` bounds both.  Membership queries read the memo and call
+    `pi_mask` only on a miss: `in_pi` for keys in any coset of G' (the
+    parts T of the atom and two-atom tests, the recognition checks), which
+    first tests x against the key's coset, so that an off-coset query
+    stores nothing; `has_one` for keys that lie in G' whenever they can be
+    product-one (the remainders of the lengths layer and omega, B - T for
+    a product-one part T of a product-one B), which skips that test.  The
+    DP's child products pi(M - g) * g come from a (mask, g) product table,
+    each entry filled by `Group.mul_mask` at its first use.
     """
 
     def __init__(self, group: Group, memo_cap: int = DEFAULT_MEMO_CAP):
@@ -226,7 +236,10 @@ class PiEngine:
         # the central slots, and the bits past MAX_MULTIPLICITY in a slot
         self._central_slots = pack([255 * (g in self._central) for g in range(n)])
         self._over = ~pack((MAX_MULTIPLICITY,) * n)
-        self._coset: list[int] | None = None  # c -> mask of c G', at first use
+        # x -> mask of x G', and powers[g][e] = g^e, at first use
+        self._coset: list[int] | None = None
+        self._powers: list[list[int]] = []
+        self._right: list[dict[int, int]] = [{} for _ in range(n)]
 
     def memo_size(self) -> int:
         return len(self._memo)
@@ -257,68 +270,110 @@ class PiEngine:
         if got is None:
             got = self._saturate(nc)
         if z:
-            got = self.group.mul_mask(got, z)
-        self._store(key, got)
-        return got
-
-    def _store(self, key: int, mask: int) -> None:
-        if len(self._memo) >= self.memo_cap:
+            got = self._right[z].get(got) or self._times(got, z)
+        if len(memo) >= self.memo_cap:
             raise ResourceLimitError(
                 f"product-set memo exceeded cap {self.memo_cap}")
-        self._memo[key] = mask
+        memo[key] = got
+        return got
+
+    def in_pi(self, key: int, x: int) -> int:
+        """Whether x is in pi(key), as 1 or 0, for a packed key.  A memo hit
+        reads the mask.  On a miss, every ordering of key multiplies into
+        one coset c G' of the commutator subgroup, c the product of its
+        terms in slot order: an x outside c G' gives 0 with no DP and no
+        memo entry, and only an x inside it calls `pi_mask`."""
+        got = self._memo.get(key)
+        if got:
+            return got >> x & 1
+        if key & self._over:
+            raise ValueError("bytes must be in range(0, 256)")
+        coset = self._coset or self._commutator_cosets()
+        mul, c = self.group.mul, 0
+        for row, e in zip(self._powers, unpack(key, self.group.order)):
+            if e:
+                c = mul[c][row[e]]
+        if not coset[c] >> x & 1:
+            return 0
+        return self.pi_mask(key) >> x & 1
+
+    def _commutator_cosets(self) -> list[int]:
+        """Build, at first use, the mask of x G' for each x (returned) and
+        the power rows ``powers[g][e]`` = g^e for e in 0..255."""
+        group = self.group
+        mul, comm = group.mul, commutator_subgroup(group).members
+        self._coset = [sum(1 << mul[h][x] for h in comm)
+                       for x in range(group.order)]
+        powers = []
+        for g in range(group.order):
+            cycle, x = [0], g
+            while x:
+                cycle.append(x)
+                x = mul[x][g]
+            powers.append((cycle * (MAX_MULTIPLICITY // len(cycle) + 1))
+                          [:MAX_MULTIPLICITY + 1])
+        self._powers = powers
+        return self._coset
+
+    def _times(self, mask: int, g: int) -> int:
+        """{h*g : h in mask} by `Group.mul_mask`, kept in the engine's
+        product table ``_right[g]`` for the next read."""
+        got = self._right[g][mask] = self.group.mul_mask(mask, g)
+        return got
 
     def _saturate(self, top: int) -> int:
         """pi of the non-central multiset `top`, not yet in the memo.
 
-        Every ordering of M multiplies into the coset c G' of the commutator
-        subgroup, c the product of M's terms in slot order, and M - g lies
-        in c g^-1 G'.  A node collects pi(M - g) * g over its children,
-        those already in the memo first, then descends into the missing
-        ones in slot order, and stops as soon as it holds all of c G'; so
-        every stored mask is exact.  An explicit stack of
-        [key, c, mask, missing slots] frames keeps deep keys off the Python
-        call stack."""
-        group = self.group
-        n = group.order
-        mul, inv, mul_mask = group.mul, group.inv, group.mul_mask
-        memo, coset, units = self._memo, self._coset, self._units
-        if coset is None:
-            comm = commutator_subgroup(group).mask()
-            coset = self._coset = [mul_mask(comm, c) for c in range(n)]
-        c = 0
-        for g, e in enumerate(unpack(top, n)):
-            for _ in range(e):
-                c = mul[c][g]
-        stack = [[top, c, None, None]]
+        Every ordering of M multiplies into one coset c G' of the
+        commutator subgroup, and so does each child product pi(M - g) * g;
+        a node takes c G' from its first child product.  A node collects
+        pi(M - g) * g over its children, those already in the memo first,
+        then descends into the missing ones in slot order, and stops as
+        soon as it holds all of c G'; so every stored mask is exact.  Each
+        product pi(M - g) * g is read from the engine's (mask, g) product
+        table.  An explicit stack of [key, mask, missing slots, c G']
+        frames keeps deep keys off the Python call stack."""
+        n = self.group.order
+        memo, units, right, times = self._memo, self._units, self._right, self._times
+        coset = self._coset or self._commutator_cosets()
+        stack = [[top, 0, None, -1]]
         while stack:
             frame = stack[-1]
-            cur, c, mask, todo = frame
-            full = coset[c]
+            cur, mask, todo, full = frame
             if todo is None:
-                mask, todo = 0, []
+                todo = []
                 for g, e in enumerate(unpack(cur, n)):
                     if e:
                         sm = memo.get(cur - units[g])
                         if sm is None:
                             todo.append(g)
                         else:
-                            mask |= mul_mask(sm, g)
+                            p = right[g].get(sm) or times(sm, g)
+                            if not mask:
+                                full = coset[p.bit_length() - 1]
+                            mask |= p
                             if mask == full:
                                 break
                 todo.reverse()
-                frame[3] = todo
+                frame[2] = todo
             while todo and mask != full:
                 g = todo[-1]
                 sub = cur - units[g]
                 sm = memo.get(sub)
                 if sm is None:
-                    frame[2] = mask
-                    stack.append([sub, mul[c][inv[g]], None, None])
+                    frame[1], frame[3] = mask, full
+                    stack.append([sub, 0, None, -1])
                     break
-                mask |= mul_mask(sm, g)
+                p = right[g].get(sm) or times(sm, g)
+                if not mask:
+                    full = coset[p.bit_length() - 1]
+                mask |= p
                 todo.pop()
             else:
-                self._store(cur, mask)
+                if len(memo) >= self.memo_cap:
+                    raise ResourceLimitError(
+                        f"product-set memo exceeded cap {self.memo_cap}")
+                memo[cur] = mask
                 stack.pop()
         return memo[top]
 
@@ -355,11 +410,11 @@ class PiEngine:
         has T and key - T product-one.  Memoised."""
         got = self._atoms.get(key)
         if got is None:
-            has_one = self.has_one
+            in_pi, has_one = self.in_pi, self.has_one
             got = bool(self.pi_mask(key) & 1)
             if got:
                 for sub in sub_multisets(key, self.group.order, True):
-                    if has_one(sub) and sub != key and has_one(key - sub):
+                    if in_pi(sub, 0) and sub != key and has_one(key - sub):
                         got = False
                         break
             self._atoms[key] = got

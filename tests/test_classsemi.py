@@ -718,6 +718,34 @@ def test_central_slot_corruption_fails_with_the_oracle_messages(spec, before, ce
         assert random_part == _failure(oracle_recognition, bad, PiEngine(group), seed)
 
 
+@pytest.mark.parametrize("spec,literal", [
+    ("D6", "ab^2,a2b"), ("D8", "a2b,a3b"), ("Q8", "-J,-K")])
+def test_accepting_an_off_coset_class_fails_with_the_oracle_messages(spec, literal,
+                                                                   monkeypatch):
+    """A class of two-term sequences that all multiply outside G', wrongly
+    marked accepting.  The recognition sweep answers such a class from the
+    coset of S_nc, with no product set; it must still fail with the
+    per-sequence oracle's message, in the exhaustive part and in the
+    random part alone."""
+    import copy
+    group = parse_group(spec)
+    semi = discover_folds(group)
+    c = semi.class_of(Sequence.from_literal(group, literal))
+    assert not semi.accept[c]
+    assert not semi.pi_masks[c] & semi.structure.commutator.mask()
+    bad = copy.copy(semi)
+    bad.accept = tuple(a or i == c for i, a in enumerate(semi.accept))
+    bad.provenance = dict(semi.provenance)
+    recognition = _failure(_validate_recognition, bad, PiEngine(group), 0)
+    assert recognition.startswith("recognition mismatch at ")
+    assert recognition == _failure(oracle_recognition, bad, PiEngine(group), 0)
+    monkeypatch.setattr(classsemi, "EXHAUSTIVE_BUDGET", 1)
+    for seed in range(3):
+        random_part = _failure(_validate_recognition, bad, PiEngine(group), seed)
+        assert random_part.startswith("recognition mismatch at random ")
+        assert random_part == _failure(oracle_recognition, bad, PiEngine(group), seed)
+
+
 @pytest.fixture(scope="module")
 def d10_semigroup():
     return build(parse_group("D10"))

@@ -435,16 +435,20 @@ def test_semigroup_davenport_of_groups(groups):
 
 
 @pytest.mark.parametrize("spec", ["D6", "D8", "Q8", "C2", "C3", "C4", "C5",
-                                  "C6", "C7", "C8", "C2xC2", "C2xC4"])
+                                  "C6", "C7", "C8", "C2xC2", "C2xC4", "C2xD6"])
 def test_semigroup_davenport_matches_oracle(spec, class_semigroups):
     """The frontier that carries its subset sums finds the oracle's d, D,
-    size and witness, on the fixture class semigroups and on group tables,
-    and exactly the oracle's number of explored candidates fits the
-    budget."""
+    size and witness, on the class semigroups of the non-abelian groups
+    (C2xD6's has 52 classes) and on the tables of the abelian ones, and
+    exactly the oracle's number of explored candidates fits the budget."""
+    group = parse_group(spec)
     if spec in class_semigroups:
         table = class_semigroups[spec][0].op
+    elif not group.is_abelian:
+        table = build(group).op
+        assert len(table) == 52
     else:
-        table = parse_group(spec).mul
+        table = group.mul
     want, explored = oracle_semigroup_davenport(table, SEMIGROUP_FRONTIER_BUDGET)
     assert semigroup_davenport(table) == want
     assert semigroup_davenport(table, budget=explored) == want

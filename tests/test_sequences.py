@@ -242,8 +242,9 @@ def _random_key(rng, order, length):
 @pytest.mark.parametrize("spec", ["D6", "D8", "Q8", "D10", "D12", "C2xD6"])
 def test_saturating_pi_matches_the_lattice_dp(spec):
     """pi_mask and every memo entry it leaves equal the full-lattice DP on
-    seeded keys of length <= 14; on keys of length 14 a fresh engine stores
-    strictly fewer entries than the lattice."""
+    seeded keys of length <= 14, and the DP's traversal leaves the pinned
+    number of entries; on keys of length 14 a fresh engine stores strictly
+    fewer entries than the lattice."""
     group = parse_group(spec)
     rng = random.Random(f"saturate-{spec}")
     engine = PiEngine(group)
@@ -251,6 +252,8 @@ def test_saturating_pi_matches_the_lattice_dp(spec):
     for _ in range(150):
         key = _random_key(rng, group.order, rng.randint(0, 14))
         assert engine.pi_mask(pack(key)) == oracle_pi_lattice(group, key, lattice)
+    assert engine.memo_size() == {"D6": 427, "D8": 487, "Q8": 443, "D10": 855,
+                                  "D12": 785, "C2xD6": 701}[spec]
     # the memo is keyed by packed vectors, the lattice by bytes
     assert all(lattice[unpack(k, group.order)] == mask
                for k, mask in engine._memo.items())
@@ -259,6 +262,45 @@ def test_saturating_pi_matches_the_lattice_dp(spec):
         fresh, own = PiEngine(group), {bytes(group.order): 1}
         assert fresh.pi_mask(key) == oracle_pi_lattice(group, key, own)
         assert fresh.memo_size() < len(own)
+
+
+@pytest.mark.parametrize("spec", ["D6", "D8", "Q8", "C6", "C2xC4", "D18"])
+def test_in_pi_matches_pi_mask(spec):
+    """`in_pi(key, x)` is bit x of `pi_mask(key)` for every x, on the empty
+    key and on seeded keys with central and identity terms.  A query
+    outside the key's commutator coset stores nothing (some of them on keys
+    not yet in the memo), and the key's product set is still the lattice
+    DP's afterwards."""
+    group = parse_group(spec)
+    n = group.order
+    comm = commutator_subgroup(group).members
+    coset = [sum(1 << group.mul[h][y] for h in comm) for y in range(n)]
+    central = sorted(center_of(group).members)
+    assert central[0] == 0
+    rng = random.Random(f"in-pi-{spec}")
+    keys = [bytes(n)]
+    for _ in range(40):
+        exps = bytearray(_random_key(rng, n, rng.randint(1, 9)))
+        for g in central:
+            exps[g] += rng.randint(0, 2)
+        keys.append(bytes(exps))
+    engine, reference, lattice = PiEngine(group), PiEngine(group), {bytes(n): 1}
+    off_coset = 0
+    for exps in keys:
+        key = pack(exps)
+        want = reference.pi_mask(key)
+        outside = [x for x in range(n)
+                   if not coset[want.bit_length() - 1] >> x & 1]
+        cold = key not in engine._memo
+        for x in outside:
+            before = engine.memo_size()
+            assert engine.in_pi(key, x) == 0
+            assert engine.memo_size() == before
+        off_coset += cold * len(outside)
+        assert [engine.in_pi(key, x) for x in range(n)] == \
+            [want >> x & 1 for x in range(n)]
+        assert engine.pi_mask(key) == oracle_pi_lattice(group, exps, lattice)
+    assert off_coset
 
 
 def test_multiplicities_above_a_byte_are_rejected(groups):
@@ -345,14 +387,16 @@ def test_pivot_splits_are_exact_and_cover_every_split():
 def test_slots_past_a_byte_raise_at_the_engine(groups):
     """A packed sum with a slot past 255 raises the ValueError of `pack`
     and never carries into the next slot: the engine rejects it before the
-    memo, and `has_one` and `is_atom` reach the same check."""
+    memo, and `has_one`, `is_atom` and `in_pi` reach the same check (in
+    `in_pi` before the coset walk, which would read the wrapped slot)."""
     d6 = groups["D6"]
     engine = PiEngine(d6)
     full = pack((255,) + (0,) * 5)
     one = pack((1,) + (0,) * 5)
     over = full + one  # 256 in slot 0: bit 8 of the slot, not slot -1
     assert unpack(over, 6) == bytes(6)  # what a wrap would read
-    for call in (engine.pi_mask, engine.has_one, engine.is_atom):
+    for call in (engine.pi_mask, engine.has_one, engine.is_atom,
+                 lambda key: engine.in_pi(key, 0)):
         with pytest.raises(ValueError, match="range"):
             call(over)
     with pytest.raises(ValueError, match="range"):
