@@ -15,9 +15,9 @@ prints one line per row and writes the values, timings and peak RSS to the
 "reach.NAME" entry of PATH (default BENCH_value_types.json and side
 "change"; other entries are kept).  Run it with PYTHONPATH on another
 checkout's ``src`` and ``--side parent`` to record that side.  On a 2-core
-x86-64 machine D18 takes about 5 s and 85 MB, D20 about 3 s and 50 MB, D22
-about 35 s and 450 MB, D24 about 15 s and 160 MB, and P D18 about 1.1-1.5 s
-and 28 MB.
+x86-64 machine D18 takes about 2 s and 85 MB, D20 about 1.2 s and 50 MB,
+D22 about 17 s and 555 MB, D24 about 7 s and 175 MB, and P D18 about 0.7 s
+and 26 MB.
 """
 
 from __future__ import annotations

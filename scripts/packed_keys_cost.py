@@ -15,14 +15,16 @@ with this checkout's ``perfbench`` job lists, which the two sides share.
   ratios change / parent with the number of rounds the change was faster.
 * Counts: each engine's ``memo_size()`` at the end of one pass, by
   workload and group, and the witness checks ``omega`` makes against the
-  atoms it reports, on C6, C2xC4, D6, D8, Q8 and D12.  An engine that
-  ``omega`` uses holds fewer entries when ``omega`` checks fewer atoms;
-  every other engine must hold as many on both sides.
+  atoms it reports, on C6, C2xC4, D6, D8, Q8 and D12.  A change that leaves
+  the pi DP's queries alone leaves every count equal
+  (``memo_sizes_equal``); one that asks other queries shows which engines
+  moved.
 * Jobs: ``omega(D12)`` (with its class semigroup built untimed, and a fresh
-  session), ``property_P(D18)`` and ``davenport(D18)``, each in a child of
-  its own, ``REPEATS`` times; the least wall time is kept.
+  session), ``property_P(D14)`` (the ``scan`` workload's largest job),
+  ``property_P(D18)`` and ``davenport(D18)``, each in a child of its own,
+  ``REPEATS`` times; the least wall time is kept.
 
-It takes about three minutes on a 2-core x86-64 machine with the defaults.
+It takes about four minutes on a 2-core x86-64 machine with the defaults.
 Its keys of ``--out`` are rewritten and other keys are kept, such as the
 ``workloads`` entry that ``scripts/lengths_sweep_cost.py pairs PARENT CHANGE
 --out BENCH_packed_keys.json`` writes.
@@ -45,7 +47,7 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 DEFAULT_OUT = os.path.join(ROOT, "BENCH_packed_keys.json")
 WORKLOADS = ("invariants", "scan", "semigroup")
 OMEGA_GROUPS = ("C6", "C2xC4", "D6", "D8", "Q8", "D12")
-JOBS = ("omega D12", "property_P D18", "davenport D18")
+JOBS = ("omega D12", "property_P D14", "property_P D18", "davenport D18")
 REPEATS = 3
 
 

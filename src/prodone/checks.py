@@ -10,18 +10,20 @@ The two-atom splitting scan runs on the splits of the atom scan,
 `factor.atom_splits` (see `factor` for the atom test, the split-generated
 scan and the orbit reduction): a packed sequence B is a product of two
 atoms when some part T holding its pivot (`sequences.sub_multisets`) makes
-T and B - T atoms.  Whether a split needs three atoms is invariant under
-Aut(G), so each split is tested once per orbit, on the least member the
-scan carries for it, and not at all when that member is an atom; every
-split of the orbit takes that verdict.  The scan yields the splits of the
-canonical atoms in the order of a full scan of all multisets, by length
-and then lexicographically, so the first counterexample of the full scan
-is the least of its orbit, and it is the first atom with a bad split met
-here too; the witness is reported from the raw split met first, as the
-unreduced exhaustive scan finds it.  The scan stops at the first length
-without an atom, or past the length bound; the budget counts the distinct
-splits it forms, those of the atoms at the bound included, bar the splits
-longer than |G| >= D(G), which are never atoms.
+T and B - T atoms.  The short atoms go first: a B holding 1 is two atoms
+exactly when B - {1} is one, and a pair {g, g^-1} whose remainder is an
+atom settles it without the walk.  Whether a split needs three atoms is
+invariant under Aut(G), so each split is tested once per orbit, on the
+least member the scan carries for it, and not at all when that member is an
+atom; every split of the orbit takes that verdict.  The scan yields the
+splits of the canonical atoms in the order of a full scan of all multisets,
+by length and then lexicographically, so the first counterexample of the
+full scan is the least of its orbit, and it is the first atom with a bad
+split met here too; the witness is reported from the raw split met first,
+as the unreduced exhaustive scan finds it.  The scan stops at the first
+length without an atom, or past the length bound; the budget counts the
+distinct splits it forms, those of the atoms at the bound included, bar the
+splits longer than |G| >= D(G), which are never atoms.
 
 Membership of a sequence S in the quotient group of the product-one monoid
 is decided by a coset test: S belongs to it exactly when every product of S
@@ -41,6 +43,7 @@ from .sequences import (
     PiEngine,
     Sequence,
     iter_multisets_exact,
+    slot_units,
     sub_multisets,
     unpack,
 )
@@ -72,10 +75,23 @@ class Verdict(NamedTuple):
 
 def _two_atom_bound_ok(key: int, engine: PiEngine) -> bool:
     """Whether the packed sequence is an atom or a product of exactly two
-    atoms."""
-    if engine.is_atom(key):
+    atoms.  The short atoms go first.  A key holding 1 (slot 0, the most
+    significant) that is not an atom has {1} in every factorization, so it
+    is two atoms exactly when key - {1} is one.  Otherwise a pair
+    {g, g^-1} of `PiEngine.split_pairs` with an atom as its remainder
+    settles it; only a key that no pair settles is walked part
+    by part."""
+    is_atom = engine.is_atom
+    if is_atom(key):
         return True
-    in_pi, has_one, is_atom = engine.in_pi, engine.has_one, engine.is_atom
+    one = slot_units(engine.group.order)[0]
+    if key > one:
+        return is_atom(key - one)
+    has_one = engine.has_one
+    for _, rest in engine.split_pairs(key):
+        if rest and has_one(rest) and is_atom(rest):
+            return True
+    in_pi = engine.in_pi
     for sub in sub_multisets(key, engine.group.order, True):
         if (sub != key and in_pi(sub, 0) and has_one(key - sub)
                 and is_atom(sub) and is_atom(key - sub)):

@@ -2,10 +2,12 @@
 
 An atom is a non-empty product-one sequence that does not split into two
 non-empty product-one sub-multisets.  The atom test is `PiEngine.is_atom`,
-memoised per engine.  It and every other split test here walk the packed
-parts T of the splits (T, B - T) that hold the pivot of B (its lowest
-term), `sequences.sub_multisets(B, n, True)`.  That loses nothing: every
-unordered split of B has a part holding the pivot.
+memoised per engine.  It first tries the splits that take off a short atom,
+{1} or a pair {g, g^-1}, the only atoms of length <= 2.  Past those, it and
+every other split test here walk the packed parts T of the splits
+(T, B - T) that hold the pivot of B (its lowest term),
+`sequences.sub_multisets(B, n, True)`.  That loses nothing: every unordered
+split of B has a part holding the pivot.
 
 Atoms grow from atoms.  Let S = s_1...s_l (l >= 2) be an atom over a group
 H with s_1...s_l = 1, and merge its last two terms into t = s_{l-1}s_l in H.
@@ -46,7 +48,9 @@ from .groups import Group, closure_of, mask_elements
 from .sequences import (
     PiEngine,
     Sequence,
+    guard_bits,
     pack,
+    packed_remainders,
     pivot,
     slot_units,
     sub_multisets,
@@ -323,26 +327,6 @@ def divides_in_B(u: Sequence, w: Sequence,
     return rest.length == 0 or engine.is_product_one(rest)
 
 
-def guard_bits(n: int) -> int:
-    """Bit 15 of each of n packed slots, the guards of `packed_remainders`."""
-    return int.from_bytes(b"\x80\0" * n, "big")
-
-
-def packed_remainders(x: int, parts: list[int], guard: int,
-                      start: int = 0) -> list[tuple[int, int]]:
-    """(i, x - parts[i]) for each i >= start with parts[i] <= x slot-wise,
-    for packed x and parts; ``guard`` is `guard_bits` of their slot count.
-    With d = (x | guard) - a, no slot borrows from the one above while its
-    own guard is set, so a <= x exactly when every guard survives, and
-    then x - a is d ^ guard (Lamport, "Multiple byte processing with
-    full-word instructions", CACM 18(8), 1975).  It takes a whole list, as
-    the lengths layer tests every atom of a pivot against one key and a
-    call per atom would cost more than the test."""
-    top = x | guard
-    return [(i, d ^ guard) for i in range(start, len(parts))
-            if (d := top - parts[i]) & guard == guard]
-
-
 class FactorizationContext:
     """Shared memoization for sets of lengths over one group.
 
@@ -406,8 +390,10 @@ class FactorizationContext:
                     sub = self.length_mask(rest)
                 acc |= sub
         else:
+            in_pi, is_atom = engine.in_pi, engine.is_atom
             for sub in sub_multisets(x, n, True):
-                if engine.is_atom(sub) and (sub == x or has_one(x - sub)):
+                if (in_pi(sub, 0) and is_atom(sub)
+                        and (sub == x or has_one(x - sub))):
                     acc |= self.length_mask(x - sub)
         acc <<= 1
         memo[x] = acc

@@ -31,12 +31,17 @@ from .factor import (
     davenport,
     divides_in_B,
     enumerate_atoms,
-    guard_bits,
     is_atom,
-    packed_remainders,
 )
 from .groups import Group, mask_elements
-from .sequences import MAX_MULTIPLICITY, PiEngine, Sequence, pack
+from .sequences import (
+    MAX_MULTIPLICITY,
+    PiEngine,
+    Sequence,
+    guard_bits,
+    pack,
+    packed_remainders,
+)
 
 UNION_PRODUCT_BUDGET = 2_000_000
 SEMIGROUP_FRONTIER_BUDGET = 2_000_000

@@ -21,7 +21,14 @@ over the group.
 A split of a non-empty B is a pair (T, B - T).  Every unordered split has a
 part holding the pivot of B, its lowest term, so the split tests walk only
 the packed sub-multisets holding it (`sub_multisets` with ``hold_pivot``),
-and form B - T by one subtraction, only when T passes its own test.
+and form B - T by one subtraction, only when T passes its own test.  Most
+product-one B that split at all split off a short atom, and the only atoms
+of length <= 2 are {1} and the pairs {g, g^-1}.  So the atom and two-atom
+tests first try those: {1} divides B exactly when slot 0, the most
+significant, is set, and the pairs that divide B come with their
+remainders from one guarded subtraction over the engine's list of pairs
+(`packed_remainders`); only a B that no short split settles is walked
+part by part.
 """
 
 from __future__ import annotations
@@ -222,7 +229,10 @@ class PiEngine:
     product-one (the remainders of the lengths layer and omega, B - T for
     a product-one part T of a product-one B), which skips that test.  The
     DP's child products pi(M - g) * g come from a (mask, g) product table,
-    each entry filled by `Group.mul_mask` at its first use.
+    each entry filled by `Group.mul_mask` at its first use.  The engine
+    also keeps the packed pairs {g, g^-1}, g != 1, each once, in slot order
+    of g (descending ints), for the short splits of the atom and two-atom
+    tests (`split_pairs`).
     """
 
     def __init__(self, group: Group, memo_cap: int = DEFAULT_MEMO_CAP):
@@ -236,6 +246,10 @@ class PiEngine:
         # the central slots, and the bits past MAX_MULTIPLICITY in a slot
         self._central_slots = pack([255 * (g in self._central) for g in range(n)])
         self._over = ~pack((MAX_MULTIPLICITY,) * n)
+        inv, units = group.inv, self._units
+        self._pairs = [units[g] + units[inv[g]] for g in range(1, n)
+                       if g <= inv[g]]
+        self._guard = guard_bits(n)
         # x -> mask of x G', and powers[g][e] = g^e, at first use
         self._coset: list[int] | None = None
         self._powers: list[list[int]] = []
@@ -404,19 +418,38 @@ class PiEngine:
     def is_product_one_free(self, seq: Sequence) -> bool:
         return not self.subsequence_mask(seq.exps) & 1
 
+    def split_pairs(self, key: int) -> list[tuple[int, int]]:
+        """(i, key - V) for each pair V = {g, g^-1}, g != 1, that divides
+        the packed `key`, V the i-th of the engine's pairs (slot order of
+        g).  V is a product-one atom, so (V, key - V) splits key into two
+        product-one parts exactly when the remainder is non-empty and
+        product-one."""
+        return packed_remainders(key, self._pairs, self._guard)
+
     def is_atom(self, key: int) -> bool:
-        """Whether the non-empty packed multiset `key` is an atom:
+        """Whether the packed multiset `key` is an atom: non-empty,
         product-one, and no part T of `sub_multisets(key, n, True)` but key
-        has T and key - T product-one.  Memoised."""
+        has T and key - T product-one.  The short splits go first: a key
+        holding 1 and more (``key > units[0]``) is not an atom, nor is one
+        with a pair {g, g^-1} whose non-empty remainder is product-one; only
+        a key that neither settles is walked part by part.  Memoised; since
+        `pi_mask(key)` runs first, the atom memo holds only keys of the pi
+        memo."""
         got = self._atoms.get(key)
         if got is None:
-            in_pi, has_one = self.in_pi, self.has_one
-            got = bool(self.pi_mask(key) & 1)
+            got = bool(key and self.pi_mask(key) & 1) and key <= self._units[0]
             if got:
-                for sub in sub_multisets(key, self.group.order, True):
-                    if in_pi(sub, 0) and sub != key and has_one(key - sub):
+                has_one = self.has_one
+                for _, rest in self.split_pairs(key):
+                    if rest and has_one(rest):
                         got = False
                         break
+                else:
+                    in_pi = self.in_pi
+                    for sub in sub_multisets(key, self.group.order, True):
+                        if in_pi(sub, 0) and sub != key and has_one(key - sub):
+                            got = False
+                            break
             self._atoms[key] = got
         return got
 
@@ -499,6 +532,27 @@ def sub_multisets(x: int, n: int, hold_pivot: bool = False) -> list[int]:
                      for t in parts]
         unit <<= 16
     return parts
+
+
+def guard_bits(n: int) -> int:
+    """Bit 15 of each of n packed slots, the guards of `packed_remainders`."""
+    return int.from_bytes(b"\x80\0" * n, "big")
+
+
+def packed_remainders(x: int, parts: list[int], guard: int,
+                      start: int = 0) -> list[tuple[int, int]]:
+    """(i, x - parts[i]) for each i >= start with parts[i] <= x slot-wise,
+    for packed x and parts; ``guard`` is `guard_bits` of their slot count.
+    With d = (x | guard) - a, no slot borrows from the one above while its
+    own guard is set, so a <= x exactly when every guard survives, and
+    then x - a is d ^ guard (Lamport, "Multiple byte processing with
+    full-word instructions", CACM 18(8), 1975).  It takes a whole list, as
+    the lengths layer tests every atom of a pivot against one key, and the
+    atom tests every pair {g, g^-1}, and a call per part would cost more
+    than the test."""
+    top = x | guard
+    return [(i, d ^ guard) for i in range(start, len(parts))
+            if (d := top - parts[i]) & guard == guard]
 
 
 def iter_multisets(n: int, max_total: int) -> Iterator[tuple[int, ...]]:

@@ -21,13 +21,19 @@ from prodone.factor import (
     divides_in_B,
     enumerate_atoms,
     factorization_lengths,
-    guard_bits,
     is_atom,
-    packed_remainders,
     small_davenport,
 )
 from prodone.groups import analyze, parse_group
-from prodone.sequences import PiEngine, Sequence, iter_multisets, pack, unpack
+from prodone.sequences import (
+    PiEngine,
+    Sequence,
+    guard_bits,
+    iter_multisets,
+    pack,
+    packed_remainders,
+    unpack,
+)
 
 
 def test_atoms_c3_exact(groups, invariants_ctx):
@@ -67,6 +73,9 @@ def test_is_atom_examples(groups, engines):
     s = Sequence.from_literal(c6, "g,g5,g2,g4")
     assert not is_atom(s, engines["C6"])
     assert not is_atom(Sequence.empty(q8), engines["Q8"])
+    # pi of the empty key is {1}, and its one pivot part is itself
+    assert not engines["Q8"].is_atom(0)
+    assert not PiEngine(groups["D6"]).is_atom(0)
 
 
 def test_atom_support_restriction(groups, engines):
@@ -223,6 +232,54 @@ def test_lengths_without_atom_list_matches(groups, engines):
     withlist = factorization_lengths(b, atoms=enumerate_atoms(d6, engine=engines["D6"]),
                                      engine=engines["D6"])
     assert ctx.lengths(b).lengths == withlist.lengths
+
+
+def test_local_split_lengths_reject_off_coset_parts(groups):
+    """Without an atom list, L(B) tests a part T for atomicity only after
+    `in_pi(T, 0)`, which rejects a T outside G' from its terms: the pi memo
+    keeps 127 entries here, where an atom test on every part left 225."""
+    d8 = groups["D8"]
+    engine = PiEngine(d8)
+    ctx = FactorizationContext(d8, None, engine)
+    b = Sequence.from_literal(d8, "a^4,b^4,ab^2,a2b^2")
+    assert ctx.lengths(b).lengths == (3, 4, 5)
+    assert engine.memo_size() == 127
+
+
+@pytest.mark.parametrize("spec,max_len", [
+    ("D6", 6), ("D8", 5), ("Q8", 5), ("C2xC4", 6),
+])
+def test_short_split_branches_match_oracle_lengths(spec, max_len):
+    """The atom and two-atom tests, with their {1} and {g, g^-1} branches,
+    against the brute-force lengths on every product-one multiset of length
+    <= max_len, the empty one included.  The set holds keys with the
+    identity twice and with a repeated involution, and on a non-abelian
+    group keys with a pair {g, g^-1} whose remainder is not product-one.
+    Length 6 is the first where a pair's product-one remainder without the
+    identity can fail to be an atom (three pairs); it runs on the two
+    groups where it is cheap."""
+    group = parse_group(spec)
+    engine = PiEngine(group)
+    n = group.order
+    involutions = [g for g in range(1, n) if group.inv[g] == g]
+    pair = "pair with a non-product-one remainder"
+    met = set()
+    for exps in iter_multisets(n, max_len):
+        key = pack(exps)
+        if not engine.has_one(key):
+            continue
+        want = oracle_lengths(Sequence(group, exps))
+        assert engine.is_atom(key) == (1 in want), exps
+        assert _two_atom_bound_ok(key, engine) == bool(want & {1, 2}), exps
+        if exps[0] >= 2:
+            met.add("identity twice")
+        if any(exps[g] >= 2 for g in involutions):
+            met.add("repeated involution")
+        if any(rest and not engine.has_one(rest)
+               for _, rest in engine.split_pairs(key)):
+            met.add(pair)
+    assert met == {"identity twice", "repeated involution"} | (
+        set() if group.is_abelian else {pair})
 
 
 def test_inverse_pair_product_lengths_q8(groups, invariants_ctx, engines):
