@@ -21,9 +21,12 @@ BENCH_lengths_sweep.json; other entries are kept).
   side: each call runs ``REPEATS`` times (once for the rows that name their
   own count) on a fresh ``GroupInvariants`` (built outside the timing) and
   the least time is kept, with the answer (which both sides must give) and
-  the child's peak RSS.  U_3(D10) passes ``budget=20_000_000`` itself: |Z_3|
-  is 15.1M there, above the default ``UNION_PRODUCT_BUDGET`` of 2M, which
-  stays as it is.  Its row runs once and takes minutes and up to 1.5 GB.
+  the child's peak RSS.  U_3(D10) and U_3(D12) pass ``budget=20_000_000``
+  themselves: |Z_3| is 15.1M and 7.3M there, above the default
+  ``UNION_PRODUCT_BUDGET`` of 2M, which stays as it is.  Their rows run
+  once.  With L(B) computed on every orbit they took 133 s at 565 MB (D10)
+  and 52 s at 458 MB (D12) on a 2-core x86-64 machine; with the union's
+  bound pruning, 23 s at 517 MB and 21 s at 458 MB.
 """
 
 from __future__ import annotations
@@ -57,6 +60,9 @@ REACH = {
               "r.n_products, r.n_canonical]"),
     "unions_of_lengths D10 3, budget 20M": (
         "D10", "[list((r := unions_of_lengths(g, 3, inv, budget=20_000_000))"
+               ".union), r.n_products, r.n_canonical]", 1),
+    "unions_of_lengths D12 3, budget 20M": (
+        "D12", "[list((r := unions_of_lengths(g, 3, inv, budget=20_000_000))"
                ".union), r.n_products, r.n_canonical]", 1),
     "unions_of_lengths D8 4": (
         "D8", "[list((r := unions_of_lengths(g, 4, inv)).union), "

@@ -8,13 +8,17 @@ j atoms, one per Aut(G)-orbit, under the least image of the orbit's
 `pack`ed exponent vectors, so extending by an atom is a slot-wise sum of
 images.  The session builds the atom images once, extends each level once,
 and never holds the images of its highest level.  U_k is the union of L(B)
-over level k.  Delta reads L(B) = {j : B in Z_j} straight off the levels
-filtered at |B| <= N, and the sweep extends with that bound past the kept
-ones: B is a product of j atoms exactly when j is in L(B).  For even k the
-maximum rho_k = k*D/2 is certified without enumeration: the upper bound is
-forced by atom lengths (every atom in a 1-free product-one sequence has
-length >= 2) and the lower bound by an explicit machine-checked witness
-built from a maximal atom and its inverse sequence.
+over level k, computed only for the B that could still widen it: with m
+copies of 1 and r other terms, L(B) lies in [m + ceil(r/D), m + floor(r/2)],
+as every atom but {1} has length 2..D, so a B whose interval the union
+already covers adds nothing to it.  Delta reads L(B) = {j : B in Z_j}
+straight off the levels filtered at |B| <= N, and the sweep extends with
+that bound past the kept ones: B is a product of j atoms exactly when j is
+in L(B).  For even k the maximum rho_k = k*D/2 is certified without
+enumeration: the upper bound is forced by atom lengths (every atom in a
+1-free product-one sequence has length >= 2) and the lower bound by an
+explicit machine-checked witness built from a maximal atom and its inverse
+sequence.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class UnionReport(NamedTuple):
     rho: int
     lam: int
     n_products: int      # |Z_k|, the number of distinct k-atom products
-    n_canonical: int     # Aut(G)-orbits of Z_k, the products L was computed on
+    n_canonical: int     # Aut(G)-orbits of Z_k, one key each
 
 
 class DeltaReport(NamedTuple):
@@ -216,10 +220,11 @@ def _extend(level: Level, nxt: Level, atom_images: list[list[int]],
 
 
 def _check_slots(most: int) -> None:
-    """The ValueError of `bytes` when a product slot would pass 255, which
-    `unpack` would wrap silently."""
+    """A `SequenceError` (a ValueError) when a product slot would pass 255,
+    which `unpack` would wrap silently."""
     if most > MAX_MULTIPLICITY:
-        raise ValueError("bytes must be in range(0, 256)")
+        raise SequenceError(
+            f"a product slot would reach {most}, outside range(0, 256)")
 
 
 def unions_of_lengths(group: Group, k: int,
@@ -229,10 +234,16 @@ def unions_of_lengths(group: Group, k: int,
 
     U_k is the union of L(B) over the set Z_k of products of k atoms, level
     k of the session's sweep (`GroupInvariants._level`).  Both Z_k and L
-    are Aut(G)-invariant, so L is computed on one canonical product per
-    orbit only.  ``n_products`` is still |Z_k| (the sum of the orbit
-    sizes), and ``budget`` bounds |Z_j| for every j <= k, not the canonical
-    count.
+    are Aut(G)-invariant, so one canonical product per orbit is enough.
+    ``n_products`` is still |Z_k| (the sum of the orbit sizes), and
+    ``budget`` bounds |Z_j| for every j <= k, not the canonical count.
+
+    Most products cannot widen the union, and their L(B) is never computed.
+    Every atom but {1} is 1-free of length 2..D, so if B holds m copies of
+    1 and r other terms, L(B) lies in [m + ceil(r/D), m + floor(r/2)]; m is
+    the identity's slot, which automorphisms fix, and the union starts at
+    {k}, which every L(B) holds.  L(B) is computed only when that interval
+    is not yet inside the union, so the union is exactly the full one.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -240,9 +251,13 @@ def unions_of_lengths(group: Group, k: int,
     _check_slots(k * max(max(a.exps) for a in inv.atoms.atoms))
     products, n_products = inv._level(k, budget)
     length_mask = inv.context.length_mask
-    union = 0
-    for key in products:
-        union |= length_mask(key)
+    top, most = 16 * (group.order - 1), inv.atoms.max_length
+    union = 1 << k
+    for key, (_, _, total) in products.items():
+        m = key >> top  # slot 0, the identity's, is the most significant
+        r = total - m
+        if ((1 << m + r // 2 + 1) - (1 << m - (-r // most))) & ~union:
+            union |= length_mask(key)
     ordered = mask_elements(union)
     rho, lam = ordered[-1], ordered[0]
     if ordered != tuple(range(lam, rho + 1)):

@@ -72,6 +72,15 @@ def test_multiplicity_above_a_byte_is_a_computation_error(capsys):
     assert capsys.readouterr().err.startswith("error: multiplicities")
 
 
+@pytest.mark.parametrize("argv", [["unions", "C3", "-k", "86"],
+                                  ["delta", "C3", "--bound", "300"]])
+def test_product_slots_past_255_are_a_computation_error(argv, capsys):
+    # the largest exponent of an atom over C3 is 3: 86 atoms reach 258
+    assert run(argv + ["--no-cache"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "range(0, 256)" in err
+
+
 def test_unknown_group_is_computation_error(capsys):
     assert run(["davenport", "Z99", "--no-cache"]) == 1
     assert "error" in capsys.readouterr().err

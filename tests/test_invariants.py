@@ -18,7 +18,7 @@ from prodone import invariants
 from prodone.classsemi import build
 from prodone.errors import BudgetExceededError
 from prodone.factor import davenport, divides_in_B
-from prodone.groups import analyze, parse_group
+from prodone.groups import analyze, mask_elements, parse_group
 from prodone.invariants import (
     SEMIGROUP_FRONTIER_BUDGET,
     GroupInvariants,
@@ -95,6 +95,32 @@ def test_unions_match_unreduced_products(groups, invariants_ctx, unreduce,
         full = unions_of_lengths(groups[spec], rep.k, inv)
         assert (full.union, full.n_products) == (rep.union, rep.n_products)
         assert full.n_canonical == full.n_products
+
+
+@pytest.mark.parametrize("spec,max_k", [("C6", 3), ("C2xC4", 3), ("D8", 3),
+                                        ("Q8", 3), ("D6", 4)])
+def test_pruned_union_matches_the_union_of_every_key(spec, max_k):
+    """`unions_of_lengths` computes L(B) only where [m + ceil(r/D),
+    m + floor(r/2)] is not yet in the union; the OR of L(B) over every key
+    of the level gives the same union.  C2xC4 at k = 3 and D6 at k = 4 are
+    the cases where a lower end one too high loses a length."""
+    group = parse_group(spec)
+    inv = GroupInvariants(group)
+    for k in range(1, max_k + 1):
+        pruned = unions_of_lengths(group, k, inv).union
+        full = 0
+        for key in inv._level(k)[0]:
+            full |= inv.context.length_mask(key)
+        assert pruned == mask_elements(full), (spec, k)
+
+
+def test_pruned_union_skips_most_keys():
+    d8 = parse_group("D8")
+    inv = GroupInvariants(d8)
+    assert unions_of_lengths(d8, 3, inv).union == tuple(range(2, 9))
+    # 2,666 keys on level 3; the lengths memo, recursion included, ends
+    # smaller than the level
+    assert len(inv.context._lengths) < len(inv._level(3)[0]) == 2666
 
 
 def test_union_budget_bounds_the_product_count(groups, invariants_ctx, unreduce):
